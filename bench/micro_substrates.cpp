@@ -167,12 +167,32 @@ void BM_TraceGenerationMicrosoft(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGenerationMicrosoft)->Unit(benchmark::kMillisecond);
 
+// One Zipf rank draw at the streamed benchmark's point: the 4950 rack pairs
+// of 100 racks at skew 1.0.
 void BM_ZipfSample(benchmark::State& state) {
-  const ZipfSampler zipf(4950, 1.2);
+  const ZipfSampler zipf(4950, 1.0);
   Xoshiro256 rng(9);
   for (auto _ : state) benchmark::DoNotOptimize(zipf(rng));
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfSample);
+
+// Streamed zipf generation alone (no serving): build the stream, then pull
+// 1M requests in the serve loop's chunk size.
+void BM_ZipfStreamDrain(benchmark::State& state) {
+  constexpr std::size_t kRequests = 1'000'000;
+  std::vector<trace::Request> chunk(sim::kServeChunk);
+  for (auto _ : state) {
+    auto stream =
+        trace::stream_zipf_pairs(100, kRequests, 1.0, Xoshiro256(42));
+    while (stream->next(chunk.data(), chunk.size()) != 0) {
+      benchmark::DoNotOptimize(chunk.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK(BM_ZipfStreamDrain)->Unit(benchmark::kMillisecond);
 
 void BM_AliasSample(benchmark::State& state) {
   std::vector<double> w(4950);

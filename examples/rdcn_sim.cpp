@@ -59,10 +59,6 @@ constexpr FlagDoc kFlagDocs[] = {
     {"profile", "",
      "trace simulation phases (RAII spans over the monotonic clock) and "
      "print a per-phase time report after the run"},
-    {"zipf-skew", "S", "deprecated: use --workload=zipf:skew=S"},
-    {"engine", "NAME", "deprecated: use --algorithms=r_bma:engine=NAME"},
-    {"eager", "", "deprecated: use --algorithms=r_bma:eager"},
-    {"window", "N", "deprecated: use --algorithms=offline_dynamic:window=N"},
     {"help", "", "this text"},
 };
 
@@ -89,26 +85,6 @@ std::vector<std::string> known_flags() {
   std::vector<std::string> out;
   for (const FlagDoc& f : kFlagDocs) out.push_back(f.name);
   return out;
-}
-
-/// Folds the deprecated convenience flags into the specs they configure,
-/// without overriding explicitly given parameters.
-void apply_legacy_flags(const Flags& flags, scenario::ScenarioSpec& spec) {
-  if (flags.has("zipf-skew") && spec.workload.name == "zipf" &&
-      !spec.workload.params.contains("skew"))
-    spec.workload.params.set("skew", flags.get("zipf-skew"));
-  for (Spec& algorithm : spec.algorithms) {
-    if (algorithm.name == "r_bma") {
-      if (flags.has("engine") && !algorithm.params.contains("engine"))
-        algorithm.params.set("engine", flags.get("engine"));
-      if (flags.get_bool("eager", false) &&
-          !algorithm.params.contains("eager"))
-        algorithm.params.set("eager", "true");
-    }
-    if (algorithm.name == "offline_dynamic" && flags.has("window") &&
-        !algorithm.params.contains("window"))
-      algorithm.params.set("window", flags.get("window"));
-  }
 }
 
 }  // namespace
@@ -148,7 +124,6 @@ int main(int argc, char** argv) {
     spec.checkpoints = flags.get_uint("checkpoints", 8);
     spec.seed = flags.get_uint("seed", 42);
     spec.threads = flags.get_uint("threads", 0);
-    apply_legacy_flags(flags, spec);
 
     const sim::Metric metric =
         sim::parse_metric(flags.get("metric", "routing_cost"));

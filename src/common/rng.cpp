@@ -1,6 +1,6 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace rdcn {
@@ -20,8 +20,13 @@ double sample_exponential(Xoshiro256& rng, double lambda) {
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double exponent)
-    : cdf_(n), exponent_(exponent) {
+    : cdf_(n),
+      guide_(std::bit_ceil(n)),
+      buckets_(static_cast<double>(guide_.size())),
+      exponent_(exponent) {
   RDCN_ASSERT_MSG(n > 0, "Zipf sampler over empty support");
+  RDCN_ASSERT_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+                  "Zipf sampler support exceeds the guide table's index range");
   RDCN_ASSERT_MSG(exponent >= 0.0, "Zipf exponent must be non-negative");
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -31,12 +36,32 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent)
   // Normalize so cdf_.back() == 1 exactly.
   for (auto& c : cdf_) c /= acc;
   cdf_.back() = 1.0;
+
+  // guide_[k] = first i with cdf_[i] >= k/m, i.e. lower_bound(cdf_, k/m),
+  // built in one merged pass over both ascending sequences.
+  std::size_t i = 0;
+  for (std::size_t k = 0; k < guide_.size(); ++k) {
+    const double edge = static_cast<double>(k) / buckets_;
+    while (cdf_[i] < edge) ++i;
+    guide_[k] = static_cast<std::uint32_t>(i);
+  }
 }
 
-std::size_t ZipfSampler::operator()(Xoshiro256& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+std::size_t ZipfSampler::index_of(double u) const noexcept {
+  RDCN_DCHECK(u >= 0.0 && u < 1.0);
+  // Exactly std::lower_bound(cdf_, u), argued step by step:
+  //  - m is a power of two, so u*m and k/m are exact in double (scaling by
+  //    2^p only moves the exponent); hence, as u < 1, k = floor(u*m) <= m-1
+  //    and k/m <= u hold exactly, with no rounding.
+  //  - Every i < guide_[k] has cdf_[i] < k/m <= u, so lower_bound's answer
+  //    is never before guide_[k]: starting there skips no candidate.
+  //  - The scan stops at the first i >= guide_[k] with cdf_[i] >= u, which
+  //    is therefore the first such i overall: lower_bound's answer.
+  //  - cdf_.back() == 1.0 > u, so the scan ends inside the table.
+  const auto k = static_cast<std::size_t>(u * buckets_);
+  std::size_t i = guide_[k];
+  while (cdf_[i] < u) ++i;
+  return i;
 }
 
 double ZipfSampler::pmf(std::size_t i) const {

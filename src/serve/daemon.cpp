@@ -64,8 +64,15 @@ sockaddr_un make_address(const std::string& path) {
 }
 
 /// Spec problems the registries can't see but that would trip asserts
-/// deeper down (checkpoint_grid needs requests >= checkpoints >= 1).
+/// deeper down (checkpoint_grid needs requests >= checkpoints >= 1), plus
+/// the one workload a client may not run: `csv` reads a file the client
+/// names, and its errors echo that file's content, so serving it would
+/// disclose any file the daemon can read.  The refusal happens here, before
+/// the workload is built, so the file is never opened.
 void check_run_shape(const scenario::ScenarioSpec& spec) {
+  if (spec.workload.name == "csv")
+    throw SpecError("reason=file_workload workload 'csv' is not served: "
+                    "the daemon opens no client-named files");
   if (spec.racks < 2) throw SpecError("racks must be at least 2");
   if (spec.requests == 0) throw SpecError("requests must be positive");
   if (spec.checkpoints == 0) throw SpecError("checkpoints must be positive");
@@ -312,9 +319,12 @@ void Daemon::start() {
     try {
       task->spec = scenario::ScenarioSpec::parse(run.spec);
       task->spec.threads = options_.threads;
-      task->cost = estimate_cost(task->spec.resolved());
+      const scenario::ScenarioSpec resolved = task->spec.resolved();
+      check_run_shape(resolved);
+      task->cost = estimate_cost(resolved);
     } catch (const std::exception& e) {
-      // Journalled by an incompatible build: end the run rather than die.
+      // Journalled by an incompatible build, or a spec this build refuses:
+      // end the run rather than die.
       std::cerr << "rdcn_serve: journal: dropping unparseable recovered run "
                 << run.id << ": " << e.what() << "\n";
       journal_.terminal(run.id, "error");

@@ -50,7 +50,9 @@
 //                                 Machine-readable refusals lead with a
 //                                 reason= token: reason=line_too_long,
 //                                 reason=quarantined (spec fast-failed
-//                                 after repeated executor crashes).
+//                                 after repeated executor crashes),
+//                                 reason=file_workload (`csv` workloads
+//                                 read daemon-host files; never served).
 //                                 Executor crashes (non-SpecError escapes)
 //                                 report as ERROR internal=<what> before
 //                                 their DONE status=error line.

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -164,6 +165,51 @@ TEST(ZipfSampler, EmpiricalMatchesPmf) {
   for (std::size_t i = 0; i < 20; ++i) {
     const double expected = zipf.pmf(i) * n;
     EXPECT_NEAR(counts[i], expected, 5 * std::sqrt(expected) + 10.0);
+  }
+}
+
+// The normalized CDF exactly as ZipfSampler's constructor builds it.
+std::vector<double> reference_zipf_cdf(std::size_t n, double exponent) {
+  std::vector<double> cdf(n);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += 1.0 / std::pow(static_cast<double>(i + 1), exponent);
+    cdf[i] = acc;
+  }
+  for (auto& c : cdf) c /= acc;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+TEST(ZipfSampler, IndexOfEqualsLowerBoundExactly) {
+  // The guide-table search must return std::lower_bound's rank for every
+  // u, including the bucket edges k/m where the table starts its scans and
+  // their nearest neighbours on either side.
+  Xoshiro256 rng(21);
+  for (const std::size_t n : {1u, 2u, 3u, 64u, 4950u, 4951u}) {
+    for (const double s : {0.0, 0.6, 1.0, 2.5}) {
+      const ZipfSampler zipf(n, s);
+      const std::vector<double> cdf = reference_zipf_cdf(n, s);
+      std::size_t mismatches = 0;
+      double first_mismatch = 0.0;
+      const auto check = [&](double u) {
+        const auto want = static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        if (zipf.index_of(u) != want && mismatches++ == 0) first_mismatch = u;
+      };
+      check(0.0);
+      check(1.0 - 0x1.0p-53);
+      const std::size_t m = std::bit_ceil(n);
+      for (std::size_t k = 0; k < m; ++k) {
+        const double edge = static_cast<double>(k) / static_cast<double>(m);
+        check(edge);
+        check(std::nextafter(edge, 1.0));
+        if (k > 0) check(std::nextafter(edge, 0.0));
+      }
+      for (int i = 0; i < 1'000'000; ++i) check(rng.next_double());
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s
+                                << " first mismatch at u=" << first_mismatch;
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -167,6 +168,32 @@ TEST_F(RobustnessTest, MalformedInputMatrixKeepsDaemonServing) {
   const Client::Submission sub = f.client.submit(kTinySpec);
   ASSERT_TRUE(sub.accepted) << sub.error;
   EXPECT_EQ(f.client.collect(sub.id).status, "ok");
+}
+
+TEST_F(RobustnessTest, CsvWorkloadIsRefusedWithoutDisclosingTheFile) {
+  // A `csv` workload names a file on the daemon's host, and its parse
+  // errors echo the file's first line.  The daemon refuses it before
+  // opening anything: the reply carries none of the content, and an
+  // existing file draws the same reply as a missing one.
+  DaemonFixture f(small_options("csv"));
+  const std::string token = "s3cret-token-" + std::to_string(::getpid());
+  const fs::path secret =
+      fs::temp_directory_path() /
+      ("rdcn_robust_csv_" + std::to_string(::getpid()) + ".txt");
+  std::ofstream(secret) << token << "\n";
+  const auto reply_to = [&](const std::string& path) {
+    f.client.send_line("RUN workload=csv:path=" + path +
+                       ";racks=8;requests=100");
+    return f.client.read_line();
+  };
+  const std::string reply = reply_to(secret.string());
+  const std::string missing = reply_to(secret.string() + ".missing");
+  fs::remove(secret);
+  EXPECT_EQ(parse_server_line(reply).kind, ServerLine::Kind::kError) << reply;
+  EXPECT_NE(reply.find("reason=file_workload"), std::string::npos) << reply;
+  EXPECT_EQ(reply.find(token), std::string::npos) << reply;
+  EXPECT_EQ(reply, missing);
+  f.client.ping();  // still serving, same connection
 }
 
 TEST_F(RobustnessTest, OversizedLineIsRefusedAndConnectionClosed) {

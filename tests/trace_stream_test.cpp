@@ -5,6 +5,7 @@
 // materialized one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -169,6 +170,41 @@ TEST(TraceStream, ChunkingPatternDoesNotChangeTheSequence) {
   for (std::size_t i = 0; i < kRequests; ++i) {
     ASSERT_EQ(from_one[i], from_big[i]) << i;
   }
+}
+
+// FNV-1a over the pair keys of a stream's first `count` requests.
+std::uint64_t stream_hash(trace::TraceStream& stream, std::size_t count) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::vector<trace::Request> chunk(4096);
+  for (std::size_t done = 0; done < count;) {
+    const std::size_t n =
+        stream.next(chunk.data(), std::min(chunk.size(), count - done));
+    if (n == 0) break;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t key = trace::pair_key(chunk[i]);
+      for (int byte = 0; byte < 8; ++byte, key >>= 8) {
+        h ^= key & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    done += n;
+  }
+  return h;
+}
+
+TEST(TraceStream, GoldenZipfAndFlowPoolStreams) {
+  // Pinned hashes of the first 1M requests of the streamed benchmark's zipf
+  // configuration (100 racks, skew 1.0, seed 42) and of a Facebook profile,
+  // whose flow pool also draws Zipf ranks.  Any change to how ZipfSampler
+  // maps a uniform draw to a rank re-randomizes every zipf trace; these
+  // anchors make such a change loud.
+  constexpr std::size_t kRequests = 1'000'000;
+  auto zipf =
+      trace::stream_zipf_pairs(100, 8 * kRequests, 1.0, Xoshiro256(42));
+  EXPECT_EQ(stream_hash(*zipf, kRequests), 0x556da2864b5ca1cbULL);
+  auto facebook = trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, 100, kRequests, Xoshiro256(42));
+  EXPECT_EQ(stream_hash(*facebook, kRequests), 0xe824dc896d5f9272ULL);
 }
 
 TEST(TraceStream, DoesNotAdvanceTheCallersRng) {
