@@ -45,13 +45,6 @@ std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
   return kNpos;
 }
 
-std::size_t find_u32(const std::uint32_t* keys, std::size_t n,
-                     std::uint32_t needle) noexcept {
-  for (std::size_t i = 0; i < n; ++i)
-    if (keys[i] == needle) return i;
-  return kNpos;
-}
-
 std::uint64_t gather_sum_u16(const std::uint16_t* base,
                              const std::uint32_t* idx,
                              std::size_t n) noexcept {
@@ -219,22 +212,6 @@ __attribute__((target("avx2"))) std::size_t find_u64_avx2(
     const int mask = _mm256_movemask_epi8(_mm256_cmpeq_epi64(k, want));
     if (mask != 0)
       return i + static_cast<std::size_t>(__builtin_ctz(mask)) / 8;
-  }
-  for (; i < n; ++i)
-    if (keys[i] == needle) return i;
-  return kNpos;
-}
-
-__attribute__((target("avx2"))) std::size_t find_u32_avx2(
-    const std::uint32_t* keys, std::size_t n, std::uint32_t needle) noexcept {
-  const __m256i want = _mm256_set1_epi32(static_cast<int>(needle));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i k =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    const int mask = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, want)));
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(mask));
   }
   for (; i < n; ++i)
     if (keys[i] == needle) return i;
@@ -476,22 +453,6 @@ __attribute__((target("sse4.2"))) std::size_t find_u64_sse42(
   return kNpos;
 }
 
-__attribute__((target("sse4.2"))) std::size_t find_u32_sse42(
-    const std::uint32_t* keys, std::size_t n, std::uint32_t needle) noexcept {
-  const __m128i want = _mm_set1_epi32(static_cast<int>(needle));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i k =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    const int mask =
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(k, want)));
-    if (mask != 0) return i + static_cast<std::size_t>(__builtin_ctz(mask));
-  }
-  for (; i < n; ++i)
-    if (keys[i] == needle) return i;
-  return kNpos;
-}
-
 }  // namespace
 
 #endif  // RDCN_SIMD_X86
@@ -499,24 +460,24 @@ __attribute__((target("sse4.2"))) std::size_t find_u32_sse42(
 namespace {
 
 constexpr detail::KernelTable kScalarTable = {
-    scalar::argmin_u64_pair, scalar::find_u64,   scalar::find_u32,
-    scalar::gather_sum_u16,  scalar::gather_u16, Isa::kScalar,
+    scalar::argmin_u64_pair, scalar::find_u64,   scalar::gather_sum_u16,
+    scalar::gather_u16,      Isa::kScalar,
 };
 
 #if RDCN_SIMD_X86
 constexpr detail::KernelTable kSse42Table = {
-    argmin_u64_pair_sse42,  find_u64_sse42,     find_u32_sse42,
-    scalar::gather_sum_u16, scalar::gather_u16, Isa::kSse42,
+    argmin_u64_pair_sse42, find_u64_sse42,     scalar::gather_sum_u16,
+    scalar::gather_u16,    Isa::kSse42,
 };
 
 constexpr detail::KernelTable kAvx2Table = {
-    argmin_u64_pair_avx2, find_u64_avx2,   find_u32_avx2,
-    gather_sum_u16_avx2,  gather_u16_avx2, Isa::kAvx2,
+    argmin_u64_pair_avx2, find_u64_avx2,   gather_sum_u16_avx2,
+    gather_u16_avx2,      Isa::kAvx2,
 };
 
 constexpr detail::KernelTable kAvx512Table = {
-    argmin_u64_pair_avx512, find_u64_avx2,   find_u32_avx2,
-    gather_sum_u16_avx2,    gather_u16_avx2, Isa::kAvx512,
+    argmin_u64_pair_avx512, find_u64_avx2,   gather_sum_u16_avx2,
+    gather_u16_avx2,        Isa::kAvx512,
 };
 #endif
 

@@ -1,17 +1,20 @@
 // rdcn: the hot-kernel library — small, portable SIMD primitives behind
 // runtime dispatch.
 //
-// The serve pipeline's innermost loops are four tiny, branch-free array
-// kernels over the SoA columns PR 4/5 made resident:
+// The serve pipeline's innermost loops are three tiny, branch-free array
+// kernels over BMA's SoA rack rows and the distance matrix:
 //
 //   argmin_u64_pair   BMA's eviction scan: least (usage, admitted_at) with
 //                     index capture (lexicographic, lowest index on full
 //                     ties, so results never depend on lane order),
-//   find_u64/find_u32 membership scans over rack-row keys / b-matching
-//                     adjacency (first occurrence),
+//   find_u64          membership scan over BMA's rack-row keys (first
+//                     occurrence),
 //   gather_u16 /      batch-path distance gathers over the DistanceMatrix
 //   gather_sum_u16    u16 storage (32-bit gathers; see the padding contract
 //                     below).
+//
+// Matching membership is not a kernel: core::BMatching answers it from an
+// adjacency bitmap with one load.
 //
 // Each kernel has a scalar reference implementation (namespace simd::scalar,
 // always compiled, the semantic contract) plus SSE4.2, AVX2, and (for the
@@ -88,8 +91,6 @@ std::size_t argmin_u64_pair(const std::uint64_t* primary,
 /// First index with keys[i] == needle; kNpos when absent.
 std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
                      std::uint64_t needle) noexcept;
-std::size_t find_u32(const std::uint32_t* keys, std::size_t n,
-                     std::uint32_t needle) noexcept;
 
 /// Sum of base[idx[i]] over i < n (u16 loads, u64 accumulation).
 std::uint64_t gather_sum_u16(const std::uint16_t* base,
@@ -114,8 +115,6 @@ struct KernelTable {
                                  std::size_t) noexcept;
   std::size_t (*find_u64)(const std::uint64_t*, std::size_t,
                           std::uint64_t) noexcept;
-  std::size_t (*find_u32)(const std::uint32_t*, std::size_t,
-                          std::uint32_t) noexcept;
   std::uint64_t (*gather_sum_u16)(const std::uint16_t*, const std::uint32_t*,
                                   std::size_t) noexcept;
   void (*gather_u16)(const std::uint16_t*, const std::uint32_t*, std::size_t,
@@ -141,12 +140,6 @@ inline std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
                             std::uint64_t needle) noexcept {
   if (n <= 4) return scalar::find_u64(keys, n, needle);
   return detail::active_kernels()->find_u64(keys, n, needle);
-}
-
-inline std::size_t find_u32(const std::uint32_t* keys, std::size_t n,
-                            std::uint32_t needle) noexcept {
-  if (n <= 8) return scalar::find_u32(keys, n, needle);
-  return detail::active_kernels()->find_u32(keys, n, needle);
 }
 
 inline std::uint64_t gather_sum_u16(const std::uint16_t* base,

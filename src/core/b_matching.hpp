@@ -3,15 +3,17 @@
 // Invariant (the feasibility constraint of §1.1): every rack has at most
 // `degree_cap` incident matching edges.  Membership queries are on the
 // per-request hot path (every routed request asks "is {s,t} matched?"),
-// so edges live in a flat hash set keyed by the canonical 64-bit pair id,
-// with per-rack adjacency in small inline vectors for O(b) neighbor scans.
+// so membership lives in an n×n adjacency bitmap with both orientations
+// set: has(u, v) is one word load and a shift for every b, with no
+// canonicalization.  The bitmap costs n²/8 bytes (1.25 KB at 100 racks).
+// Per-rack adjacency rows (small inline vectors, insertion order with
+// swap-erase) serve degree queries and the O(b) neighbor scans.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "common/flat_hash.hpp"
-#include "common/simd.hpp"
 #include "common/small_vector.hpp"
 #include "core/types.hpp"
 
@@ -20,29 +22,23 @@ namespace rdcn::core {
 class BMatching {
  public:
   BMatching(std::size_t num_racks, std::size_t degree_cap)
-      : adjacency_(num_racks), degree_cap_(degree_cap) {
+      : adjacency_(num_racks),
+        bits_((num_racks * num_racks + 63) / 64, 0),
+        degree_cap_(degree_cap) {
     RDCN_ASSERT_MSG(degree_cap >= 1, "degree cap must be at least 1");
   }
 
   std::size_t num_racks() const noexcept { return adjacency_.size(); }
   std::size_t degree_cap() const noexcept { return degree_cap_; }
-  std::size_t size() const noexcept { return edges_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
   bool has(Rack u, Rack v) const noexcept {
     RDCN_DCHECK(u < adjacency_.size() && v < adjacency_.size());
-    // Up to degree 16 the adjacency row is a single cache line of rack
-    // ids, so a (SIMD) linear scan beats a hash probe on the per-request
-    // membership check; the edge set answers the large-b case.  This row
-    // scan is shared machinery: r_bma's and so_bma's batch loops, greedy,
-    // and rotor all route their membership checks through it.
-    if (degree_cap_ <= 16) {
-      const SmallVector<Rack, 8>& row = adjacency_[u];
-      return simd::find_u32(row.data(), row.size(), v) != simd::kNpos;
-    }
-    return edges_.contains(pair_key(u, v));
+    const std::size_t bit = bit_index(u, v);
+    return (bits_[bit >> 6] >> (bit & 63)) & 1;
   }
   bool has_key(std::uint64_t key) const noexcept {
-    return edges_.contains(key);
+    return has(pair_lo(key), pair_hi(key));
   }
 
   std::size_t degree(Rack u) const noexcept {
@@ -63,41 +59,59 @@ class BMatching {
     RDCN_DCHECK(u != v && u < num_racks() && v < num_racks());
     RDCN_ASSERT_MSG(!full(u) && !full(v),
                     "b-matching degree cap would be violated");
-    const bool fresh = edges_.insert(pair_key(u, v));
-    RDCN_ASSERT_MSG(fresh, "edge already in matching");
+    RDCN_ASSERT_MSG(!has(u, v), "edge already in matching");
+    flip(u, v);
+    ++size_;
     adjacency_[u].push_back(v);
     adjacency_[v].push_back(u);
   }
 
   /// Removes {u,v}; asserts presence.
   void remove(Rack u, Rack v) {
-    const bool was = edges_.erase(pair_key(u, v));
-    RDCN_ASSERT_MSG(was, "removing an edge not in the matching");
+    RDCN_ASSERT_MSG(has(u, v), "removing an edge not in the matching");
+    flip(u, v);
+    --size_;
     const bool ru = adjacency_[u].erase_value(v);
     const bool rv = adjacency_[v].erase_value(u);
     RDCN_ASSERT(ru && rv);
   }
 
   void clear() {
-    edges_.clear();
+    std::fill(bits_.begin(), bits_.end(), 0);
+    size_ = 0;
     for (auto& adj : adjacency_) adj.clear();
   }
 
   /// All matching edges as canonical pair keys (order unspecified).
   std::vector<std::uint64_t> edge_keys() const {
     std::vector<std::uint64_t> keys;
-    keys.reserve(edges_.size());
-    edges_.for_each([&](std::uint64_t k) { keys.push_back(k); });
+    keys.reserve(size_);
+    for (Rack u = 0; u < num_racks(); ++u)
+      for (const Rack v : adjacency_[u])
+        if (u < v) keys.push_back(pair_key(u, v));
     return keys;
   }
 
   /// Full consistency audit: degree caps respected, adjacency symmetric,
-  /// adjacency consistent with the edge set.  O(n·b); test/debug use.
+  /// adjacency consistent with the bitmap, and no stray bits.  O(n·b + n²/64);
+  /// test/debug use.
   bool check_invariants() const;
 
  private:
-  FlatSet edges_;
+  std::size_t bit_index(Rack u, Rack v) const noexcept {
+    return static_cast<std::size_t>(u) * adjacency_.size() + v;
+  }
+
+  /// Toggles both orientations of {u,v} in the bitmap.
+  void flip(Rack u, Rack v) noexcept {
+    const std::size_t uv = bit_index(u, v), vu = bit_index(v, u);
+    bits_[uv >> 6] ^= std::uint64_t{1} << (uv & 63);
+    bits_[vu >> 6] ^= std::uint64_t{1} << (vu & 63);
+  }
+
   std::vector<SmallVector<Rack, 8>> adjacency_;
+  std::vector<std::uint64_t> bits_;  ///< bit u·n+v set ⇔ {u,v} ∈ M
+  std::size_t size_ = 0;
   std::size_t degree_cap_;
 };
 

@@ -8,6 +8,11 @@ RBma::RBma(const Instance& instance, const RBmaOptions& options)
     : OnlineBMatcher(instance),
       options_(options),
       master_rng_(options.seed) {
+  const std::size_t n = instance.num_racks();
+  pairs_.resize(n * (n - 1) / 2);
+  ke_by_distance_.resize(std::size_t{instance.max_dist()} + 1);
+  for (std::uint64_t d = 1; d < ke_by_distance_.size(); ++d)
+    ke_by_distance_[d] = (alpha() + d - 1) / d;
   build_engines();
 }
 
@@ -40,7 +45,7 @@ void RBma::reset() {
   OnlineBMatcher::reset();
   master_rng_ = Xoshiro256(options_.seed);
   build_engines();
-  pairs_.clear();
+  pairs_.assign(pairs_.size(), PairCounter{});
   marked_count_ = 0;
   specials_ = 0;
 }
@@ -52,50 +57,41 @@ std::uint64_t RBma::total_paging_faults() const {
 }
 
 void RBma::on_request(const Request& r, bool /*matched*/) {
-  const std::uint64_t key = pair_key(r);
-
   // Learning-augmented mode: the predictor sees the full stream.
-  if (options_.predictor != nullptr) options_.predictor->observe(key);
+  if (options_.predictor != nullptr) options_.predictor->observe(pair_key(r));
 
   // Theorem 1 reduction: act only on every ke-th request to this pair,
   // ke = ceil(alpha / dist).
-  const std::uint64_t d = dist(r.u, r.v);
-  const std::uint64_t ke = (alpha() + d - 1) / d;
-  PairCounter& state = *pairs_.try_emplace(key).first;
-  if (++state.counter < ke) return;
+  PairCounter& state = pair_state(r.u, r.v);
+  if (++state.counter < ke_by_distance_[dist(r.u, r.v)]) return;
   state.counter = 0;
   ++specials_;
 
-  special_request(r, key);
+  special_request(r, pair_key(r));
 }
 
 void RBma::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
-  const std::uint64_t a = alpha();
+  const BMatching& m = matching_view();
+  const std::uint64_t* const ke = ke_by_distance_.data();
   DemandPredictor* const predictor = options_.predictor.get();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Request& r = batch[i];
-    // One-request lookahead: the Theorem 1 counter probe is the per-request
-    // memory dependency; start pulling the next pair's record now.
-    if (i + 1 < batch.size()) pairs_.prefetch(pair_key(batch[i + 1]));
+  for (const Request& r : batch) {
     RDCN_DCHECK(r.u != r.v);
-    const std::uint64_t key = pair_key(r);
     // Route with the current matching (membership checked before any
     // reconfiguration below, exactly as serve() does).
-    const bool matched = matching_view().has(r.u, r.v);
-    const std::uint64_t d = dist(r.u, r.v);
+    const bool matched = m.has(r.u, r.v);
+    const std::uint16_t d = dist(r.u, r.v);
     acc.routing_cost += matched ? 1 : d;
     ++acc.requests;
     acc.direct_serves += matched ? 1 : 0;
 
-    if (predictor != nullptr) predictor->observe(key);
+    if (predictor != nullptr) predictor->observe(pair_key(r));
 
-    const std::uint64_t ke = (a + d - 1) / d;
-    PairCounter& state = *pairs_.try_emplace(key).first;
-    if (++state.counter < ke) continue;
+    PairCounter& state = pair_state(r.u, r.v);
+    if (++state.counter < ke[d]) continue;
     state.counter = 0;
     ++specials_;
-    special_request(r, key);
+    special_request(r, pair_key(r));
   }
   commit_routing(acc);
 }
@@ -117,9 +113,8 @@ void RBma::handle_evictions(const std::vector<paging::Key>& evicted) {
   for (const paging::Key key : evicted) {
     if (!matching_view().has_key(key)) continue;  // was never doubly cached
     if (options_.lazy_eviction) {
-      // Keep the edge until capacity forces pruning.  A cached key was
-      // requested at some point, so its record exists already.
-      set_marked(*pairs_.try_emplace(key).first, true);
+      // Keep the edge until capacity forces pruning.
+      set_marked(pair_state(pair_lo(key), pair_hi(key)), true);
     } else {
       remove_matching_edge_key(key);
     }
@@ -127,11 +122,10 @@ void RBma::handle_evictions(const std::vector<paging::Key>& evicted) {
 }
 
 void RBma::ensure_matched(Rack u, Rack v) {
-  const std::uint64_t key = pair_key(u, v);
-  if (matching_view().has_key(key)) {
+  if (matching_view().has(u, v)) {
     // A lazily marked edge that is requested again is doubly cached once
     // more — resurrect it for free (no reconfiguration happened).
-    if (PairCounter* s = pairs_.find(key)) set_marked(*s, false);
+    set_marked(pair_state(u, v), false);
     return;
   }
   if (matching_view().full(u)) prune_marked_at(u);
@@ -145,11 +139,10 @@ void RBma::prune_marked_at(Rack w) {
   // one cache slot without being matched yet.
   const auto& neighbors = matching_view().neighbors(w);
   for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    const std::uint64_t key = pair_key(w, neighbors[i]);
-    PairCounter* s = pairs_.find(key);
-    if (s != nullptr && s->marked) {
-      set_marked(*s, false);
-      remove_matching_edge_key(key);
+    PairCounter& s = pair_state(w, neighbors[i]);
+    if (s.marked) {
+      set_marked(s, false);
+      remove_matching_edge(w, neighbors[i]);
       return;
     }
   }
@@ -158,20 +151,33 @@ void RBma::prune_marked_at(Rack w) {
 }
 
 bool RBma::check_intersection_invariant() const {
-  bool ok = true;
-  // Every unmarked matching edge must be cached at both endpoints.
-  for (const std::uint64_t key : matching_view().edge_keys()) {
-    if (marked_for_removal(key)) continue;
-    const Rack lo = pair_lo(key), hi = pair_hi(key);
-    if (!engines_[lo]->contains(key) || !engines_[hi]->contains(key))
-      ok = false;
+  const BMatching& m = matching_view();
+  const auto doubly_cached = [&](std::uint64_t key) {
+    return engines_[pair_lo(key)]->contains(key) &&
+           engines_[pair_hi(key)]->contains(key);
+  };
+  const auto matched_unmarked = [&](std::uint64_t key) {
+    return m.has_key(key) && !marked_for_removal(key);
+  };
+  // Pairs cached somewhere: doubly cached ⇔ matched and unmarked.
+  for (const auto& engine : engines_)
+    for (const paging::Key key : engine->cached_keys())
+      if (doubly_cached(key) != matched_unmarked(key)) return false;
+  // Unmarked matching edges are doubly cached (this also covers edges that
+  // no cache holds any more).
+  for (const std::uint64_t key : m.edge_keys())
+    if (matched_unmarked(key) && !doubly_cached(key)) return false;
+  // Every marked pair is matched, and the running count is exact.
+  std::size_t marked = 0;
+  for (Rack hi = 1; hi < m.num_racks(); ++hi) {
+    for (Rack lo = 0; lo < hi; ++lo) {
+      if (!pair_state(lo, hi).marked) continue;
+      if (!m.has(lo, hi)) return false;
+      ++marked;
+    }
   }
-  if (!options_.lazy_eviction) {
-    // Eager mode: marked set must be empty and the invariant is two-sided —
-    // spot-check that doubly-cached pairs that are matched are exact.
-    if (marked_count_ != 0) ok = false;
-  }
-  return ok;
+  if (marked != marked_count_) return false;
+  return options_.lazy_eviction || marked == 0;
 }
 
 }  // namespace rdcn::core

@@ -28,7 +28,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_hash.hpp"
 #include "common/rng.hpp"
 #include "core/online_matcher.hpp"
 #include "core/predictor.hpp"
@@ -58,12 +57,12 @@ class RBma final : public OnlineBMatcher {
 
   std::string name() const override;
 
-  /// Devirtualized chunk loop: one matching-membership probe and one
-  /// distance load per request (serve() pays the distance load twice —
-  /// once for routing, once for the Theorem 1 counter threshold), with
-  /// routing accumulation committed per chunk.  RNG draws happen in
-  /// exactly the scalar order, so ledgers and engine states stay
-  /// bit-identical.
+  /// Devirtualized chunk loop: one bitmap membership load, one distance
+  /// load, one threshold-table load and one dense counter update per
+  /// request (serve() pays the distance load twice — once for routing,
+  /// once for the Theorem 1 threshold), with routing accumulation
+  /// committed per chunk.  RNG draws happen in exactly the scalar order,
+  /// so ledgers and engine states stay bit-identical.
   void serve_batch(std::span<const Request> batch) override;
 
   void reset() override;
@@ -81,28 +80,44 @@ class RBma final : public OnlineBMatcher {
 
   /// Test hook: is `e` marked for (lazy) removal?
   bool marked_for_removal(std::uint64_t key) const {
-    const PairCounter* s = pairs_.find(key);
-    return s != nullptr && s->marked;
+    return pair_state(pair_lo(key), pair_hi(key)).marked;
   }
 
   /// Test hook: number of matching edges currently marked for lazy removal.
   std::size_t marked_count() const noexcept { return marked_count_; }
 
-  /// Verifies the Theorem 2 intersection invariant (strict form under
-  /// eager eviction; under lazy eviction every unmarked matched edge must
-  /// be in both caches, and every doubly-cached requested pair that is
-  /// matched must be unmarked).  O(edges); test use.
+  /// Verifies the Theorem 2 intersection invariant in its lazy form:
+  ///   - a pair cached at either endpoint is cached at both ⇔ it is
+  ///     matched and unmarked (so every unmarked matched edge is doubly
+  ///     cached, and a marked edge has left at least one cache);
+  ///   - every marked pair is matched;
+  ///   - marked_count() equals the number of marked pairs (0 under eager
+  ///     eviction, where the invariant is exactly e ∈ M ⇔ doubly cached).
+  /// O(n·b + n²); test use.
   bool check_intersection_invariant() const;
 
  private:
-  /// Unified per-pair record: the Theorem 1 request counter and the lazy
-  /// removal mark share one map entry, so the request path resolves both
-  /// with a single tagged probe.  `marked` is only ever true for keys
-  /// currently in the matching.
+  /// Per-pair record: the Theorem 1 request counter and the lazy removal
+  /// mark.  One record per rack pair {lo < hi}, stored densely at
+  /// triangular index hi·(hi−1)/2 + lo, so the request path reads it with
+  /// one indexed access and no hashing; the n(n−1)/2 records take at most
+  /// 4n² bytes.  `marked` is only ever true for pairs currently in the
+  /// matching.
   struct PairCounter {
     std::uint32_t counter = 0;  ///< requests since last special request
     bool marked = false;        ///< lazily-removed matching edge?
   };
+
+  static std::size_t pair_index(Rack u, Rack v) noexcept {
+    const std::size_t lo = u < v ? u : v, hi = u < v ? v : u;
+    return hi * (hi - 1) / 2 + lo;
+  }
+  PairCounter& pair_state(Rack u, Rack v) noexcept {
+    return pairs_[pair_index(u, v)];
+  }
+  const PairCounter& pair_state(Rack u, Rack v) const noexcept {
+    return pairs_[pair_index(u, v)];
+  }
 
   void on_request(const Request& r, bool matched) override;
 
@@ -137,7 +152,11 @@ class RBma final : public OnlineBMatcher {
   RBmaOptions options_;
   Xoshiro256 master_rng_;
   std::vector<std::unique_ptr<paging::PagingAlgorithm>> engines_;
-  FlatMap<PairCounter> pairs_;  ///< unified per-pair state (one probe)
+  std::vector<PairCounter> pairs_;  ///< dense per-pair state, n(n−1)/2
+  /// Theorem 1 thresholds by distance: ke_by_distance_[d] = ⌈α/d⌉ for
+  /// d = 1..max_distance() (entry 0 is unused: distinct racks are at
+  /// distance ≥ 1), so the request path does no division.
+  std::vector<std::uint64_t> ke_by_distance_;
   std::size_t marked_count_ = 0;
   std::vector<paging::Key> evicted_scratch_;
   std::uint64_t specials_ = 0;

@@ -37,45 +37,17 @@ void SoBma::install() {
     // online matching structure (cap b) always accepts it.
     add_matching_edge(pair_lo(key), pair_hi(key));
   }
-
-  // Freeze membership into a dense bitset (the matching never changes
-  // until the next reset/install).  Both orientations are set so the
-  // serve loop needs no min/max.
-  const std::size_t n = instance().num_racks();
-  matched_bits_.clear();
-  if (n * n <= std::size_t{64} << 20) {  // cap the table at 8 MiB
-    matched_bits_.assign((n * n + 63) / 64, 0);
-    for (std::uint64_t key : chosen_) {
-      const std::size_t u = pair_lo(key), v = pair_hi(key);
-      matched_bits_[(u * n + v) >> 6] |= std::uint64_t{1} << ((u * n + v) & 63);
-      matched_bits_[(v * n + u) >> 6] |= std::uint64_t{1} << ((v * n + u) & 63);
-    }
-  }
 }
 
 void SoBma::serve_batch(std::span<const Request> batch) {
   RoutingDelta acc;
-  if (!matched_bits_.empty()) {
-    const std::uint64_t* bits = matched_bits_.data();
-    const std::size_t n = instance().num_racks();
-    for (const Request& r : batch) {
-      RDCN_DCHECK(r.u != r.v);
-      const std::size_t idx = static_cast<std::size_t>(r.u) * n + r.v;
-      const bool matched = (bits[idx >> 6] >> (idx & 63)) & 1;
-      RDCN_DCHECK(matched == matching_view().has(r.u, r.v));
-      acc.routing_cost += matched ? 1 : dist(r.u, r.v);
-      ++acc.requests;
-      acc.direct_serves += matched ? 1 : 0;
-    }
-  } else {
-    const BMatching& m = matching_view();
-    for (const Request& r : batch) {
-      RDCN_DCHECK(r.u != r.v);
-      const bool matched = m.has(r.u, r.v);
-      acc.routing_cost += matched ? 1 : dist(r.u, r.v);
-      ++acc.requests;
-      acc.direct_serves += matched ? 1 : 0;
-    }
+  const BMatching& m = matching_view();
+  for (const Request& r : batch) {
+    RDCN_DCHECK(r.u != r.v);
+    const bool matched = m.has(r.u, r.v);
+    acc.routing_cost += matched ? 1 : dist(r.u, r.v);
+    ++acc.requests;
+    acc.direct_serves += matched ? 1 : 0;
   }
   commit_routing(acc);
 }

@@ -33,11 +33,8 @@ class SoBma final : public OnlineBMatcher {
   std::string name() const override { return "so_bma"; }
 
   /// Devirtualized chunk loop: the matching never changes after install(),
-  /// so a batch is a pure membership + distance-gather pass with routing
+  /// so a batch is a pure membership + distance pass with routing
   /// committed once per chunk (no per-request virtual no-op call).
-  /// Membership resolves against a dense bitset frozen at install time —
-  /// one load+test per request instead of an adjacency scan or hash probe,
-  /// with identical verdicts by construction.
   void serve_batch(std::span<const Request> batch) override;
 
   void reset() override;
@@ -48,11 +45,6 @@ class SoBma final : public OnlineBMatcher {
   void install();
 
   std::vector<std::uint64_t> chosen_;
-  /// Dense pair-membership bitset (row-major u·n+v, both orientations set),
-  /// rebuilt by install(): valid for the whole run because nothing mutates
-  /// the matching afterwards.  Left empty for huge universes (> 8 MiB of
-  /// bits), where serve_batch falls back to BMatching::has.
-  std::vector<std::uint64_t> matched_bits_;
 };
 
 }  // namespace rdcn::core

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/b_matching.hpp"
@@ -105,6 +107,50 @@ TEST(BMatching, InvariantsHoldUnderRandomChurn) {
     if (step % 1000 == 0) ASSERT_TRUE(m.check_invariants());
   }
   EXPECT_TRUE(m.check_invariants());
+}
+
+TEST(BMatching, BitmapMatchesReferenceSetUnderChurn) {
+  // n² lands on both sides of a 64-bit word edge (4, 9, 64, 81, 4096,
+  // 4225, 10000 bits), so a row that straddles words or a final partial
+  // word is exercised; every step is audited against a std::set.
+  for (const std::size_t n : {2u, 3u, 8u, 9u, 64u, 65u, 100u}) {
+    for (const std::size_t b : {1u, 5u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " b=" + std::to_string(b));
+      Xoshiro256 rng(1000 + n * 10 + b);
+      BMatching m(n, b);
+      std::set<std::uint64_t> reference;
+      for (int step = 0; step < 3000; ++step) {
+        const Rack u = static_cast<Rack>(rng.next_below(n));
+        Rack v = static_cast<Rack>(rng.next_below(n - 1));
+        if (v >= u) ++v;
+        if (reference.count(pair_key(u, v)) != 0) {
+          m.remove(v, u);
+          reference.erase(pair_key(u, v));
+        } else if (!m.full(u) && !m.full(v)) {
+          m.add(u, v);
+          reference.insert(pair_key(u, v));
+        }
+        ASSERT_EQ(m.has(u, v), reference.count(pair_key(u, v)) != 0);
+        ASSERT_EQ(m.has(v, u), m.has(u, v));
+        ASSERT_EQ(m.has_key(pair_key(u, v)), m.has(u, v));
+        ASSERT_EQ(m.size(), reference.size());
+        auto keys = m.edge_keys();
+        std::sort(keys.begin(), keys.end());
+        ASSERT_TRUE(std::equal(keys.begin(), keys.end(), reference.begin(),
+                               reference.end()))
+            << "step " << step;
+        ASSERT_TRUE(m.check_invariants()) << "step " << step;
+      }
+      // Every pair, including untouched ones, agrees with the reference.
+      for (Rack x = 0; x < n; ++x) {
+        for (Rack y = 0; y < n; ++y) {
+          if (x != y) {
+            ASSERT_EQ(m.has(x, y), reference.count(pair_key(x, y)) != 0);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BMatching, PerfectBMatchingFillsAllDegrees) {

@@ -92,6 +92,34 @@ INSTANTIATE_TEST_SUITE_P(
                                          paging::EngineKind::kRandom),
                        ::testing::Bool(), ::testing::Values(1, 3, 6)));
 
+class RBmaFullInvariant
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t>> {};
+
+TEST_P(RBmaFullInvariant, HoldsAfterEveryRequestOnALine) {
+  // A line has distances 1..11, so pairs cross the Theorem 1 threshold at
+  // different rates; α = 4 keeps special requests (and evictions) frequent.
+  const auto [lazy, b] = GetParam();
+  const net::Topology topo = net::make_line(12);
+  Xoshiro256 rng(31);
+  const trace::Trace t = trace::generate_zipf_pairs(12, 6000, 0.8, rng);
+  RBmaOptions opts;
+  opts.lazy_eviction = lazy;
+  opts.seed = 17;
+  RBma alg(make_instance(topo.distances, b, 4), opts);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    alg.serve(t[i]);
+    ASSERT_TRUE(alg.check_intersection_invariant()) << "i=" << i;
+  }
+  EXPECT_GT(alg.special_requests(), 0u);
+  if (!lazy) {
+    EXPECT_EQ(alg.marked_count(), 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LazyEagerDegrees, RBmaFullInvariant,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(1, 4, 16)));
+
 TEST(RBma, EagerModeRemovesEdgesOnEviction) {
   // b = 1, uniform: second pair through a shared endpoint must displace
   // the first, and eagerly drop it from the matching.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/r_bma.hpp"
@@ -36,6 +38,36 @@ TEST(Reduction, SpecialCountMatchesKePerPair) {
     expected_specials += count / ke;
   }
   EXPECT_EQ(alg.special_requests(), expected_specials);
+}
+
+TEST(Reduction, ThresholdTableIsExactOnALine) {
+  // A 12-rack line has distances 1..11: α = 1 gives ke = 1 everywhere
+  // (α < d included), α = 7 is not divisible by most distances, α = 60
+  // by some.  Both serve paths must count exactly the specials of an
+  // explicit per-pair counter with ke = (α + d − 1) / d.
+  const net::Topology topo = net::make_line(12);
+  ASSERT_EQ(topo.distances.max_distance(), 11u);
+  Xoshiro256 rng(8);
+  const trace::Trace t = trace::generate_zipf_pairs(12, 20000, 0.9, rng);
+  std::vector<Request> all(t.size());
+  t.gather(0, t.size(), all.data());
+  for (const std::uint64_t alpha : {1u, 7u, 60u}) {
+    std::map<std::uint64_t, std::uint64_t> counter;
+    std::uint64_t expected = 0;
+    for (const Request& r : t) {
+      const std::uint64_t d = topo.distances(r.u, r.v);
+      std::uint64_t& c = counter[pair_key(r)];
+      if (++c < (alpha + d - 1) / d) continue;
+      c = 0;
+      ++expected;
+    }
+    const Instance inst = make_instance(topo.distances, 3, alpha);
+    RBma scalar(inst, {.seed = 4}), batched(inst, {.seed = 4});
+    for (const Request& r : t) scalar.serve(r);
+    batched.serve_batch(all);
+    EXPECT_EQ(scalar.special_requests(), expected) << "alpha=" << alpha;
+    EXPECT_EQ(batched.special_requests(), expected) << "alpha=" << alpha;
+  }
 }
 
 TEST(Reduction, UniformInstanceDegeneratesToIdentity) {

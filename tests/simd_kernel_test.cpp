@@ -122,24 +122,6 @@ TEST(SimdKernels, FindU64MatchesScalarIncludingDuplicates) {
   });
 }
 
-TEST(SimdKernels, FindU32MatchesScalarIncludingDuplicates) {
-  Xoshiro256 rng(3003);
-  for_both_dispatch_modes([&] {
-    for (const std::size_t n : kLengths) {
-      for (int round = 0; round < 50; ++round) {
-        std::vector<std::uint32_t> keys(n);
-        for (std::size_t i = 0; i < n; ++i)
-          keys[i] = static_cast<std::uint32_t>(rng.next_below(16));
-        const std::uint32_t needle =
-            static_cast<std::uint32_t>(rng.next_below(20));
-        ASSERT_EQ(simd::find_u32(keys.data(), n, needle),
-                  simd::scalar::find_u32(keys.data(), n, needle))
-            << "n=" << n << " round=" << round;
-      }
-    }
-  });
-}
-
 TEST(SimdKernels, GatherKernelsMatchScalarOnFuzzedIndices) {
   Xoshiro256 rng(4004);
   // Base table sized like a 100-rack distance matrix, over-allocated by
