@@ -48,10 +48,10 @@ endforeach()
 message(STATUS "rdcn_sim smoke sweep OK: ${line_count} lines, header + 4 checkpoint rows")
 
 # Streamed twin of the sweep above: same scenario replayed through
-# --stream (constant-memory TraceStream path).  The ledger columns must be
-# bit-identical to the materialized run — stream twins replay the same
-# requests — so beyond being well-formed, the CSV must match the
-# materialized CSV line for line.
+# --stream (the workload regenerated per task at constant memory).  The
+# ledger columns must be bit-identical to the materialized run — both
+# replay the same requests — so beyond being well-formed, the CSV must
+# match the materialized CSV line for line.
 execute_process(
   COMMAND ${SIM}
     --topology=torus:rows=3,cols=3 --racks=9
@@ -76,3 +76,20 @@ if(NOT stream_lines STREQUAL lines)
 endif()
 
 message(STATUS "rdcn_sim --stream smoke sweep OK: CSV bit-identical to materialized run")
+
+# A run shape the simulator cannot replay (fewer requests than checkpoints)
+# must come back as a spec error — exit 2 with the reason on stderr — not
+# as an assertion abort.
+execute_process(
+  COMMAND ${SIM} --requests=3 --checkpoints=8
+  RESULT_VARIABLE shape_rc
+  OUTPUT_VARIABLE shape_out
+  ERROR_VARIABLE shape_err)
+if(NOT shape_rc EQUAL 2)
+  message(FATAL_ERROR "rdcn_sim --requests=3 --checkpoints=8 exited with ${shape_rc}, want 2\nstdout:\n${shape_out}\nstderr:\n${shape_err}")
+endif()
+if(NOT shape_err MATCHES "requests \\(3\\) must be >= checkpoints \\(8\\)")
+  message(FATAL_ERROR "rdcn_sim did not report the bad run shape:\n${shape_err}")
+endif()
+
+message(STATUS "rdcn_sim bad run shape OK: exit 2 with a spec error")

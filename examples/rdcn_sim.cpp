@@ -41,8 +41,9 @@ constexpr FlagDoc kFlagDocs[] = {
     {"trace", "FILE", "shorthand for --workload=csv:path=FILE"},
     {"requests", "N", "trace length (default 100000)"},
     {"stream", "",
-     "replay the workload as a TraceStream at constant memory (arbitrarily "
-     "long traces; offline algorithms and csv import unsupported)"},
+     "regenerate the workload per task at constant memory instead of "
+     "replaying it materialized (arbitrarily long traces; offline "
+     "algorithms unsupported)"},
     {"algorithms", "LIST",
      "comma-separated algorithm specs (default r_bma,bma,oblivious)"},
     {"b", "LIST", "cache sizes to sweep, e.g. 6,12,18 (default 12)"},

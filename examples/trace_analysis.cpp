@@ -61,7 +61,9 @@ int main() {
       {"permutation (ideal)", "permutation"},
   };
 
-  Xoshiro256 rng(1);
+  // Every row draws its workload from the same seed state (make_workload
+  // snapshots the rng, it does not advance it).
+  const Xoshiro256 rng(1);
   std::printf("%-30s %8s %9s %10s %10s %12s\n", "workload", "gini",
               "entropy", "locality", "repeat_p", "R-BMA saves");
   for (const Row& row : rows) {

@@ -149,32 +149,17 @@ ScenarioSpec ScenarioSpec::resolved() const {
   return out;
 }
 
+void check_run_shape(const ScenarioSpec& spec) {
+  if (spec.racks < 2) throw SpecError("racks must be at least 2");
+  if (spec.requests == 0) throw SpecError("requests must be positive");
+  if (spec.checkpoints == 0) throw SpecError("checkpoints must be positive");
+  if (spec.requests < spec.checkpoints)
+    throw SpecError("requests (" + std::to_string(spec.requests) +
+                    ") must be >= checkpoints (" +
+                    std::to_string(spec.checkpoints) + ")");
+}
+
 namespace {
-
-/// Shared head of run_scenario / run_scenario_streamed: topology built and
-/// the RNG left exactly where workload generation starts.
-std::size_t build_topology(const ScenarioSpec& spec, Xoshiro256& rng,
-                           ScenarioResult& result) {
-  obs::ObsSpan span("scenario.topology");
-  result.spec = spec;
-  result.topology =
-      TopologyRegistry::instance().make(spec.topology, spec.racks, rng);
-  // `racks` is a request, not a contract: builders round to their natural
-  // sizes (2^dim hypercubes, rows x cols tori).  Generate the workload over
-  // what the network actually provides so explicit topology dimensions
-  // always yield a runnable scenario.
-  return std::min(spec.racks, result.topology.num_racks());
-}
-
-void check_workload_fits(const ScenarioSpec& spec, std::size_t workload_racks,
-                         const ScenarioResult& result) {
-  if (workload_racks > result.topology.num_racks())
-    throw SpecError(
-        "workload '" + spec.workload.to_string() + "' uses " +
-        std::to_string(workload_racks) + " racks but topology '" +
-        spec.topology.to_string() + "' provides only " +
-        std::to_string(result.topology.num_racks()));
-}
 
 sim::ExperimentConfig make_experiment_config(const ScenarioSpec& spec,
                                              const ScenarioResult& result,
@@ -218,75 +203,86 @@ std::vector<sim::ExperimentSpec> make_experiment_specs(
   return experiment_specs;
 }
 
-}  // namespace
-
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  return run_scenario(spec, RunHooks{});
-}
-
-ScenarioResult run_scenario(const ScenarioSpec& raw_spec,
-                            const RunHooks& hooks) {
+/// The one body of run_scenario / run_scenario_streamed.  Both build the
+/// workload's stream from the RNG state topology construction leaves
+/// behind, so they replay the same requests.  `materialize` drains that
+/// stream once into result.workload and replays the trace in every task
+/// (offline comparators see it whole); otherwise every task regenerates
+/// the stream at constant memory.
+ScenarioResult run(const ScenarioSpec& raw_spec, const RunHooks& hooks,
+                   bool materialize) {
   const ScenarioSpec spec = raw_spec.resolved();
+  check_run_shape(spec);
 
-  // One RNG stream seeds topology construction, then workload generation —
-  // the same order the historical rdcn_sim driver used, so a fixed seed
+  // One RNG stream seeds topology construction, then the workload — the
+  // same order the historical rdcn_sim driver used, so a fixed seed
   // reproduces its networks and traces exactly.
   Xoshiro256 rng(spec.seed);
   ScenarioResult result;
-  const std::size_t workload_racks = build_topology(spec, rng, result);
+  result.spec = spec;
+  {
+    obs::ObsSpan span("scenario.topology");
+    result.topology =
+        TopologyRegistry::instance().make(spec.topology, spec.racks, rng);
+  }
+  // `racks` is a request, not a contract: builders round to their natural
+  // sizes (2^dim hypercubes, rows x cols tori).  Generate the workload over
+  // what the network actually provides so explicit topology dimensions
+  // always yield a runnable scenario.
+  const WorkloadRegistry& workloads = WorkloadRegistry::instance();
+  const sim::StreamFactory regenerate =
+      [&workloads, workload = spec.workload,
+       racks = std::min(spec.racks, result.topology.num_racks()),
+       requests = spec.requests, rng] {
+        return workloads.make_stream(workload, racks, requests, rng);
+      };
   {
     obs::ObsSpan span("scenario.workload");
-    result.workload = WorkloadRegistry::instance().make(
-        spec.workload, workload_racks, spec.requests, rng);
-    check_workload_fits(spec, result.workload.num_racks(), result);
+    const std::unique_ptr<trace::TraceStream> stream = regenerate();
+    if (stream->num_racks() > result.topology.num_racks())
+      throw SpecError(
+          "workload '" + spec.workload.to_string() + "' uses " +
+          std::to_string(stream->num_racks()) + " racks but topology '" +
+          spec.topology.to_string() + "' provides only " +
+          std::to_string(result.topology.num_racks()));
+    // The only check that catches a short CSV import.
+    if (stream->total() < spec.checkpoints)
+      throw SpecError("workload '" + spec.workload.to_string() + "' has " +
+                      std::to_string(stream->total()) +
+                      " requests, fewer than checkpoints (" +
+                      std::to_string(spec.checkpoints) + ")");
+    result.workload = materialize
+                          ? trace::materialize(*stream)
+                          : trace::Trace(stream->num_racks(), stream->name());
   }
 
   obs::ObsSpan span("scenario.experiment");
-  result.runs =
-      sim::run_experiment(make_experiment_config(spec, result, hooks),
-                          result.workload, make_experiment_specs(spec));
+  const sim::ExperimentConfig config =
+      make_experiment_config(spec, result, hooks);
+  const std::vector<sim::ExperimentSpec> specs = make_experiment_specs(spec);
+  result.runs = materialize
+                    ? sim::run_experiment(config, result.workload, specs)
+                    : sim::run_experiment(config, regenerate, specs);
   return result;
+}
+
+}  // namespace
+
+ScenarioResult run_scenario(const ScenarioSpec& spec) {
+  return run(spec, RunHooks{}, /*materialize=*/true);
+}
+
+ScenarioResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks) {
+  return run(spec, hooks, /*materialize=*/true);
 }
 
 ScenarioResult run_scenario_streamed(const ScenarioSpec& spec) {
-  return run_scenario_streamed(spec, RunHooks{});
+  return run(spec, RunHooks{}, /*materialize=*/false);
 }
 
-ScenarioResult run_scenario_streamed(const ScenarioSpec& raw_spec,
+ScenarioResult run_scenario_streamed(const ScenarioSpec& spec,
                                      const RunHooks& hooks) {
-  const ScenarioSpec spec = raw_spec.resolved();
-
-  Xoshiro256 rng(spec.seed);
-  ScenarioResult result;
-  const std::size_t workload_racks = build_topology(spec, rng, result);
-  // Snapshot the RNG exactly where run_scenario would generate the
-  // workload: the stream twins replay bit-identically the trace a
-  // materialized run would serve, so both entry points yield the same
-  // ledgers for the same spec.
-  const Xoshiro256 workload_rng = rng;
-  const WorkloadRegistry& workloads = WorkloadRegistry::instance();
-  {
-    obs::ObsSpan span("scenario.workload");
-    // Probe stream: surfaces "no streaming form" / bad parameters on this
-    // thread, and carries the name and rack universe for reporting.
-    const std::unique_ptr<trace::TraceStream> probe = workloads.make_stream(
-        spec.workload, workload_racks, spec.requests, workload_rng);
-    check_workload_fits(spec, probe->num_racks(), result);
-    result.workload = trace::Trace(probe->num_racks(), probe->name());
-  }
-
-  const sim::StreamFactory factory = [&workloads, workload = spec.workload,
-                                      workload_racks,
-                                      requests = spec.requests,
-                                      workload_rng]() {
-    return workloads.make_stream(workload, workload_racks, requests,
-                                 workload_rng);
-  };
-  obs::ObsSpan span("scenario.experiment");
-  result.runs =
-      sim::run_experiment(make_experiment_config(spec, result, hooks),
-                          factory, make_experiment_specs(spec));
-  return result;
+  return run(spec, hooks, /*materialize=*/false);
 }
 
 std::vector<ScenarioResult> run_matrix(const ScenarioSpec& base,

@@ -9,10 +9,11 @@
 //   algorithms=r_bma:engine=lru,bma;b=6,12;racks=50;requests=100000;...
 //
 // so a whole experiment travels through CLIs, config files, and test
-// goldens as one string.  run_scenario() materializes the spec through the
-// registries and drives sim::run_experiment (trial repetition + thread
-// pool); run_matrix() crosses one base spec with lists of topologies and
-// workloads — the §3.1 evaluation matrix in one call.
+// goldens as one string.  run_scenario() builds the spec's components
+// through the registries and drives sim::run_experiment (trial repetition +
+// thread pool) over the workload's TraceStream; run_matrix() crosses one
+// base spec with lists of topologies and workloads — the §3.1 evaluation
+// matrix in one call.
 #pragma once
 
 #include <string>
@@ -85,18 +86,25 @@ struct RunHooks {
       on_checkpoint{};
 };
 
+/// Rejects run shapes the simulator cannot replay — racks < 2, requests or
+/// checkpoints of 0, requests < checkpoints — with SpecError.  The
+/// run_scenario* entry points call it before building the topology.
+void check_run_shape(const ScenarioSpec& spec);
+
 /// Builds topology and workload from the registries (seed-threaded), then
-/// runs every algorithm × b through sim::run_experiment.
+/// runs every algorithm × b through sim::run_experiment.  The workload is
+/// generated once, into `result.workload`, and every task replays it.
+/// Bad run shapes (check_run_shape, or a workload shorter than the
+/// checkpoint grid) raise SpecError.
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 ScenarioResult run_scenario(const ScenarioSpec& spec, const RunHooks& hooks);
 
-/// Streaming variant: the workload is replayed through
+/// Streaming variant: every task regenerates the workload through
 /// WorkloadRegistry::make_stream at constant memory (one serve chunk per
-/// worker) instead of being materialized — arbitrarily long traces fit.
-/// Ledgers are identical to run_scenario for the same spec (stream twins
-/// are bit-identical to their generators; pinned by scenario_test).
-/// Offline comparators (need the full trace) and stream-less workloads
-/// (csv) raise SpecError.  The result's `workload` member is an empty
+/// worker) instead of replaying a materialized trace — arbitrarily long
+/// traces fit.  Ledgers are identical to run_scenario for the same spec
+/// (pinned by scenario_test).  Offline comparators (need the full trace)
+/// raise SpecError.  The result's `workload` member is an empty
 /// placeholder Trace carrying only the stream's name and rack universe.
 ScenarioResult run_scenario_streamed(const ScenarioSpec& spec);
 ScenarioResult run_scenario_streamed(const ScenarioSpec& spec,

@@ -63,23 +63,16 @@ sockaddr_un make_address(const std::string& path) {
   return addr;
 }
 
-/// Spec problems the registries can't see but that would trip asserts
-/// deeper down (checkpoint_grid needs requests >= checkpoints >= 1), plus
-/// the one workload a client may not run: `csv` reads a file the client
-/// names, and its errors echo that file's content, so serving it would
-/// disclose any file the daemon can read.  The refusal happens here, before
-/// the workload is built, so the file is never opened.
-void check_run_shape(const scenario::ScenarioSpec& spec) {
+/// Refuses the one workload a client may not run, then applies the
+/// scenario layer's run shape checks.  `csv` reads a file the client names,
+/// and its errors echo that file's content, so serving it would disclose
+/// any file the daemon can read.  The refusal happens here, before the
+/// workload is built, so the file is never opened.
+void check_servable(const scenario::ScenarioSpec& spec) {
   if (spec.workload.name == "csv")
     throw SpecError("reason=file_workload workload 'csv' is not served: "
                     "the daemon opens no client-named files");
-  if (spec.racks < 2) throw SpecError("racks must be at least 2");
-  if (spec.requests == 0) throw SpecError("requests must be positive");
-  if (spec.checkpoints == 0) throw SpecError("checkpoints must be positive");
-  if (spec.requests < spec.checkpoints)
-    throw SpecError("requests (" + std::to_string(spec.requests) +
-                    ") must be >= checkpoints (" +
-                    std::to_string(spec.checkpoints) + ")");
+  scenario::check_run_shape(spec);
 }
 
 }  // namespace
@@ -320,7 +313,7 @@ void Daemon::start() {
       task->spec = scenario::ScenarioSpec::parse(run.spec);
       task->spec.threads = options_.threads;
       const scenario::ScenarioSpec resolved = task->spec.resolved();
-      check_run_shape(resolved);
+      check_servable(resolved);
       task->cost = estimate_cost(resolved);
     } catch (const std::exception& e) {
       // Journalled by an incompatible build, or a spec this build refuses:
@@ -785,7 +778,7 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
     scenario::WorkloadRegistry::instance().validate(resolved.workload);
     for (const Spec& algorithm : resolved.algorithms)
       scenario::AlgorithmRegistry::instance().validate(algorithm);
-    check_run_shape(resolved);
+    check_servable(resolved);
     spec.threads = options_.threads;  // execution detail, daemon's choice
     canonical = spec.canonical_string();
     cost = estimate_cost(resolved);

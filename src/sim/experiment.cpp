@@ -18,18 +18,34 @@ bool is_randomized(const std::string& algorithm) {
 
 namespace {
 
-/// Shared driver of both run_experiment overloads: validates the specs,
-/// expands them into independent (spec, trial) tasks with deterministic
-/// paired seeds, shards the tasks over the persistent ThreadPool, and
-/// averages each spec's trials.  `run_one(spec, seed, control)` executes a
-/// single trial and may throw (first error is rethrown on the calling
-/// thread); `control` carries the config's cancellation token and a
-/// per-trial checkpoint hook bound to the task's spec and seed.
-template <typename RunOne>
-std::vector<RunResult> run_tasks(const ExperimentConfig& config,
-                                 const std::vector<ExperimentSpec>& specs,
-                                 const RunOne& run_one) {
+core::Instance make_instance(const ExperimentConfig& config,
+                             const ExperimentSpec& spec) {
+  core::Instance instance;
+  instance.distances = config.distances;
+  instance.b = spec.b;
+  instance.a = config.a;
+  instance.alpha = config.alpha;
+  return instance;
+}
+
+}  // namespace
+
+std::vector<RunResult> run_experiment(const ExperimentConfig& config,
+                                      const trace::Trace& trace,
+                                      const std::vector<ExperimentSpec>& specs) {
+  RDCN_ASSERT_MSG(!trace.empty(), "empty trace");
+  return run_experiment(
+      config,
+      [&trace] { return std::make_unique<trace::MaterializedStream>(trace); },
+      specs, &trace);
+}
+
+std::vector<RunResult> run_experiment(const ExperimentConfig& config,
+                                      const StreamFactory& make_stream,
+                                      const std::vector<ExperimentSpec>& specs,
+                                      const trace::Trace* full_trace) {
   RDCN_ASSERT_MSG(config.distances != nullptr, "config needs distances");
+  RDCN_ASSERT_MSG(make_stream != nullptr, "null stream factory");
 
   // Fail fast on unknown algorithm names / parameters before any trial
   // spends work (and on this thread, where SpecError can propagate).
@@ -56,10 +72,11 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
   }
 
   // parallel_for tasks must not throw; capture the first construction
-  // error (e.g. a required parameter a custom entry forgot to default)
-  // and rethrow it on the calling thread.  Cancellations are captured
-  // separately — a cancelled run is the caller's own doing, not a spec
-  // problem, and reports as CancelledError.
+  // error (e.g. a required parameter a custom entry forgot to default, or
+  // an offline comparator without `full_trace`) and rethrow it on the
+  // calling thread.  Cancellations are captured separately — a cancelled
+  // run is the caller's own doing, not a spec problem, and reports as
+  // CancelledError.
   std::mutex error_mutex;
   std::string error;
   bool failed = false;
@@ -87,7 +104,15 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
           if (obs::tracing_enabled())
             algo_span.emplace(
                 obs::intern_span_name("algo." + spec.algorithm));
-          RunResult r = run_one(spec, task.seed, control);
+          auto matcher = registry.make({spec.algorithm, spec.params},
+                                       make_instance(config, spec),
+                                       full_trace, task.seed);
+          auto stream = make_stream();
+          RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
+                          "stream factory must yield fresh streams");
+          RunResult r = run_simulation(
+              *matcher, *stream,
+              checkpoint_grid(stream->total(), config.checkpoints), control);
           r.seed = task.seed;
           r.algorithm = spec.display();
           raw[i] = std::move(r);
@@ -120,61 +145,6 @@ std::vector<RunResult> run_tasks(const ExperimentConfig& config,
     out.push_back(average_runs(group));
   }
   return out;
-}
-
-core::Instance make_instance(const ExperimentConfig& config,
-                             const ExperimentSpec& spec) {
-  core::Instance instance;
-  instance.distances = config.distances;
-  instance.b = spec.b;
-  instance.a = config.a;
-  instance.alpha = config.alpha;
-  return instance;
-}
-
-}  // namespace
-
-std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      const trace::Trace& trace,
-                                      const std::vector<ExperimentSpec>& specs) {
-  RDCN_ASSERT_MSG(!trace.empty(), "empty trace");
-  const scenario::AlgorithmRegistry& registry =
-      scenario::AlgorithmRegistry::instance();
-  const std::vector<std::uint64_t> grid =
-      checkpoint_grid(trace.size(), config.checkpoints);
-  return run_tasks(
-      config, specs,
-      [&](const ExperimentSpec& spec, std::uint64_t seed,
-          const RunControl& control) {
-        auto matcher = registry.make({spec.algorithm, spec.params},
-                                     make_instance(config, spec), &trace,
-                                     seed);
-        return run_simulation(*matcher, trace, grid, control);
-      });
-}
-
-std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      const StreamFactory& make_stream,
-                                      const std::vector<ExperimentSpec>& specs) {
-  RDCN_ASSERT_MSG(make_stream != nullptr, "null stream factory");
-  const scenario::AlgorithmRegistry& registry =
-      scenario::AlgorithmRegistry::instance();
-  return run_tasks(
-      config, specs,
-      [&](const ExperimentSpec& spec, std::uint64_t seed,
-          const RunControl& control) {
-        // full_trace = nullptr: offline comparators raise SpecError here —
-        // a stream cannot hand them the whole trace up front.
-        auto matcher = registry.make({spec.algorithm, spec.params},
-                                     make_instance(config, spec), nullptr,
-                                     seed);
-        auto stream = make_stream();
-        RDCN_ASSERT_MSG(stream != nullptr && stream->produced() == 0,
-                        "stream factory must yield fresh streams");
-        const std::vector<std::uint64_t> grid =
-            checkpoint_grid(stream->total(), config.checkpoints);
-        return run_simulation(*matcher, *stream, grid, control);
-      });
 }
 
 }  // namespace rdcn::sim

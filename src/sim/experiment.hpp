@@ -59,26 +59,27 @@ struct ExperimentConfig {
 /// AlgorithmRegistry entry; unknown names are treated as deterministic).
 bool is_randomized(const std::string& algorithm);
 
-/// Runs every spec over `trace`; returns one (trial-averaged) RunResult per
-/// spec, in spec order.
-std::vector<RunResult> run_experiment(const ExperimentConfig& config,
-                                      const trace::Trace& trace,
-                                      const std::vector<ExperimentSpec>& specs);
-
 /// Factory producing a fresh, unconsumed stream of the workload.  Called
 /// once per (spec, trial) task — possibly from several pool workers at
 /// once, so it must be thread-safe (the registry stream builders are: they
 /// snapshot their RNG instead of sharing it).
 using StreamFactory = std::function<std::unique_ptr<trace::TraceStream>()>;
 
-/// Streaming variant: same trial expansion, seeds, and averaging as the
-/// trace overload — and identical ledgers when the factory's streams
-/// replay the same request sequence — but peak memory is one serve chunk
-/// per worker regardless of trace length.  Offline algorithms
-/// (needs_full_trace) raise SpecError: a stream cannot hand them the
-/// complete trace up front.
+/// Runs every spec over the workload, one factory stream per (spec, trial)
+/// task; returns one (trial-averaged) RunResult per spec, in spec order.
+/// Each task's checkpoint grid spans its stream's total().  `full_trace`
+/// is handed to offline comparators (needs_full_trace), which see the
+/// whole trace up front; it must be the sequence the streams replay.  With
+/// no full trace those algorithms raise SpecError.
 std::vector<RunResult> run_experiment(const ExperimentConfig& config,
                                       const StreamFactory& make_stream,
+                                      const std::vector<ExperimentSpec>& specs,
+                                      const trace::Trace* full_trace = nullptr);
+
+/// The same over a materialized trace: forwards with a MaterializedStream
+/// factory and `&trace` as the full trace.
+std::vector<RunResult> run_experiment(const ExperimentConfig& config,
+                                      const trace::Trace& trace,
                                       const std::vector<ExperimentSpec>& specs);
 
 }  // namespace rdcn::sim

@@ -7,10 +7,12 @@
 // are clipped at checkpoint boundaries, so checkpoint semantics are
 // unchanged — a chunked run's ledger is bit-identical to the scalar
 // serve() loop at every grid point (pinned by the batch differential
-// suite).  Wall-clock measurement covers the serve pipeline only —
-// checkpointing and reporting are excluded, and for TraceStream inputs so
-// is chunk generation, mirroring the paper's execution-time methodology
-// (trace generation excluded).
+// suite).  There is one chunk loop, over a TraceStream; a materialized
+// Trace replays through a MaterializedStream.  Wall-clock measurement
+// covers serve_batch only — checkpointing, reporting and chunk production
+// (generation, or the gather from a materialized trace) are excluded,
+// mirroring the paper's execution-time methodology (trace generation
+// excluded).
 #pragma once
 
 #include <cstddef>
@@ -50,23 +52,20 @@ struct RunControl {
   std::function<void(const Checkpoint&)> on_checkpoint{};
 };
 
-/// Runs `matcher` (already reset/fresh) over `trace` with chunked replay.
-/// `checkpoints` must be non-decreasing; the last entry is clamped to the
-/// trace length.  A checkpoint of 0 snapshots the pre-trace (zero-cost)
-/// state, which is also how an empty trace yields a ledger.  No request
-/// beyond the last checkpoint is served.
+/// Runs `matcher` (already reset/fresh) over `stream` (unconsumed) with
+/// chunked replay; peak memory is one scratch chunk regardless of trace
+/// length.  `checkpoints` must be non-decreasing; the last entry is
+/// clamped to stream.total().  A checkpoint of 0 snapshots the pre-trace
+/// (zero-cost) state, which is also how an empty trace yields a ledger.
+/// No request beyond the last checkpoint is served.
 RunResult run_simulation(core::OnlineBMatcher& matcher,
-                         const trace::Trace& trace,
+                         trace::TraceStream& stream,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control = {});
 
-/// Streaming replay: identical semantics, but chunks are pulled from
-/// `stream` (which must be unconsumed) instead of a materialized trace —
-/// peak memory is one scratch chunk regardless of trace length.  The
-/// checkpoint grid is clamped against stream.total().  Chunk production
-/// is excluded from wall-clock (it is trace generation).
+/// The same replay over a materialized trace (through a MaterializedStream).
 RunResult run_simulation(core::OnlineBMatcher& matcher,
-                         trace::TraceStream& stream,
+                         const trace::Trace& trace,
                          std::vector<std::uint64_t> checkpoints,
                          const RunControl& control = {});
 

@@ -6,10 +6,11 @@
 // (spatial skew, temporal burstiness, adversarial structure, ...) so
 // ablations can vary a single axis.
 // Every generator is implemented as a per-request *emitter* consumed by two
-// front ends: generate_* drains it into a materialized Trace (advancing the
-// caller's RNG exactly as before), and stream_* wraps it in a TraceStream
-// that owns a snapshot of the RNG and produces the identical request
-// sequence chunk by chunk — without ever holding the full trace in memory.
+// front ends: stream_* wraps it in a TraceStream that owns a snapshot of
+// the RNG and produces the request sequence chunk by chunk — the form the
+// workload registry and the simulator replay — and generate_* drains it
+// into a materialized Trace for direct callers (tests, benches, offline
+// analysis), advancing the caller's RNG.
 #pragma once
 
 #include <memory>

@@ -1,13 +1,14 @@
 // rdcn: streaming trace production — requests in fixed-size chunks.
 //
-// A TraceStream is the pull side of the batched serve pipeline: instead of
-// materializing a full Trace (8 bytes × requests) before the first request
-// is served, a stream produces the next chunk on demand, so a replay's
-// peak memory is one scratch chunk regardless of trace length.  Every
-// generator in trace/generators.hpp (plus the Facebook/Microsoft cluster
-// profiles) has a stream_* twin built on the same per-request emitter, so
-// a stream with seed s produces bit-identically the trace generate_*(s)
-// returns — pinned by the stream-equivalence test suite.
+// A TraceStream is the one replay input of the simulator: a stream
+// produces the next chunk on demand, so a replay's peak memory is one
+// scratch chunk regardless of trace length.  Every generator in
+// trace/generators.hpp (plus the Facebook/Microsoft cluster profiles) has a
+// stream_* front end built on the same per-request emitter, so a stream
+// with seed s produces bit-identically the trace generate_*(s) returns —
+// pinned by the stream-equivalence test suite.  A materialized Trace (a
+// CSV import, a trace the offline comparators must see whole) replays
+// through a MaterializedStream; materialize() goes the other way.
 #pragma once
 
 #include <cstddef>
@@ -65,13 +66,18 @@ class TraceStream {
   std::size_t produced_ = 0;
 };
 
-/// Stream view over an existing Trace (chunked copies of its columns).
+/// Stream over a materialized Trace (chunked copies of its columns).
 class MaterializedStream final : public TraceStream {
  public:
-  /// `trace` must outlive the stream.
+  /// Views `trace`, which must outlive the stream.
   explicit MaterializedStream(const Trace& trace)
       : TraceStream(trace.num_racks(), trace.name(), trace.size()),
         trace_(&trace) {}
+  /// Owns `trace` (e.g. a CSV import handed out by the workload registry).
+  explicit MaterializedStream(Trace&& trace)
+      : TraceStream(trace.num_racks(), trace.name(), trace.size()),
+        owned_(std::move(trace)),
+        trace_(&owned_) {}
 
  protected:
   void produce(Request* out, std::size_t n) override {
@@ -79,6 +85,7 @@ class MaterializedStream final : public TraceStream {
   }
 
  private:
+  Trace owned_;  ///< empty unless constructed from an rvalue
   const Trace* trace_;
 };
 

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
+#include <map>
 
 #include "common/rng.hpp"
 #include "net/topology.hpp"
 #include "scenario/registry.hpp"
 #include "sim/simulator.hpp"
 #include "test_util.hpp"
+#include "trace/facebook_like.hpp"
 #include "trace/generators.hpp"
+#include "trace/microsoft_like.hpp"
 
 namespace {
 
@@ -97,42 +101,124 @@ TEST(WorkloadRegistry, CsvImportWithLimit) {
   EXPECT_EQ(limited.size(), 4u);
 }
 
-TEST(WorkloadRegistry, StreamTwinsMaterializeBitIdentically) {
-  // Every streamable workload: make_stream(rng) must replay exactly the
-  // trace make() produces from the same rng state, without advancing the
-  // caller's generator.
+TEST(WorkloadRegistry, MakeMatchesItsGeneratorWithDocumentedDefaults) {
+  // The registry has one builder per workload; make() materializes it.
+  // Pin every entry against the trace layer's generate_* call with the
+  // defaults its ParamDocs document, so a wrong generator, parameter
+  // default or RNG hand-off in the wiring shows up here.
+  constexpr std::size_t kRacks = 20, kRequests = 3'000;
+  using Generate = std::function<trace::Trace(Xoshiro256&)>;
+  const auto facebook = [](trace::FacebookCluster cluster) -> Generate {
+    return [cluster](Xoshiro256& rng) {
+      return trace::generate_facebook_like(cluster, kRacks, kRequests, rng);
+    };
+  };
+  const Generate round_robin = [](Xoshiro256&) {
+    return trace::generate_round_robin_star(kRacks, kRequests, /*k=*/8);
+  };
+  const std::map<std::string, Generate> generators = {
+      {"uniform",
+       [](Xoshiro256& rng) {
+         return trace::generate_uniform(kRacks, kRequests, rng);
+       }},
+      {"zipf",
+       [](Xoshiro256& rng) {
+         return trace::generate_zipf_pairs(kRacks, kRequests, /*skew=*/1.0,
+                                           rng);
+       }},
+      {"hotspot",
+       [](Xoshiro256& rng) {
+         return trace::generate_hotspot(kRacks, kRequests,
+                                        /*hot_fraction=*/0.1,
+                                        /*hot_share=*/0.8, rng);
+       }},
+      {"permutation",
+       [](Xoshiro256& rng) {
+         return trace::generate_permutation(kRacks, kRequests, rng);
+       }},
+      {"flow_pool",
+       [](Xoshiro256& rng) {
+         trace::FlowPoolParams p;
+         p.candidate_pairs = 1000;
+         p.zipf_skew = 1.0;
+         p.mean_burst_length = 20.0;
+         p.max_active_flows = 50;
+         p.new_flow_prob = 0.05;
+         p.drift_period = 0;
+         p.drift_fraction = 0.1;
+         p.hub_fraction = 0.0;
+         p.hub_bias = 0.8;
+         p.noise_fraction = 0.0;
+         return trace::generate_flow_pool(kRacks, kRequests, p, rng);
+       }},
+      {"elephant_mice",
+       [](Xoshiro256& rng) {
+         return trace::generate_elephant_mice(kRacks, kRequests,
+                                              /*elephants=*/16,
+                                              /*share=*/0.7, /*run=*/40.0,
+                                              rng);
+       }},
+      {"round_robin_star", round_robin},
+      {"round_robin", round_robin},
+      {"facebook_db", facebook(trace::FacebookCluster::kDatabase)},
+      {"facebook_web", facebook(trace::FacebookCluster::kWebService)},
+      {"facebook_hadoop", facebook(trace::FacebookCluster::kHadoop)},
+      {"microsoft",
+       [](Xoshiro256& rng) {
+         trace::MicrosoftParams p;
+         p.rack_skew = 1.2;
+         p.num_elephants = 25;
+         p.elephant_boost = 30.0;
+         return trace::generate_microsoft_like(kRacks, kRequests, p, rng);
+       }},
+  };
   const WorkloadRegistry& registry = WorkloadRegistry::instance();
-  std::size_t streamable = 0;
+  std::size_t covered = 0;
   for (const std::string& name : registry.names()) {
-    if (!registry.streamable(name)) continue;
+    if (name == "csv") continue;  // file import, covered below
     SCOPED_TRACE(name);
-    ++streamable;
-    Xoshiro256 rng(91);
-    const Xoshiro256 snapshot = rng;
-    auto stream = registry.make_stream({name, {}}, /*racks=*/20,
-                                       /*requests=*/3'000, rng);
-    ASSERT_NE(stream, nullptr);
-    EXPECT_EQ(stream->total(), 3'000u);
-    // The snapshot convention: the caller's rng must not have advanced.
-    EXPECT_EQ(rng.next(), Xoshiro256(snapshot).next());
+    const auto it = generators.find(name);
+    ASSERT_NE(it, generators.end()) << "registered workload missing here";
+    ++covered;
     Xoshiro256 gen_rng(91);
-    const trace::Trace expected =
-        registry.make({name, {}}, 20, 3'000, gen_rng);
-    const trace::Trace streamed = trace::materialize(*stream);
-    ASSERT_EQ(streamed.size(), expected.size());
+    const trace::Trace expected = it->second(gen_rng);
+    const trace::Trace made =
+        registry.make({name, {}}, kRacks, kRequests, Xoshiro256(91));
+    ASSERT_EQ(made.size(), expected.size());
+    EXPECT_EQ(made.num_racks(), expected.num_racks());
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(streamed[i], expected[i]) << "request " << i;
+      ASSERT_EQ(made[i], expected[i]) << "request " << i;
     }
   }
-  // Everything but the csv import must be streamable.
-  EXPECT_EQ(streamable, registry.names().size() - 1);
-  EXPECT_FALSE(registry.streamable("csv"));
+  EXPECT_EQ(covered, generators.size());
 }
 
-TEST(WorkloadRegistry, StreamlessWorkloadThrowsSpecError) {
-  Xoshiro256 rng(5);
+TEST(WorkloadRegistry, MakeAndMakeStreamLeaveTheCallersRngAlone) {
+  // The snapshot convention: both entry points copy the rng, so a caller
+  // can build the same workload twice from one generator state.
+  const WorkloadRegistry& registry = WorkloadRegistry::instance();
+  for (const std::string& name : registry.names()) {
+    if (name == "csv") continue;  // ignores the rng
+    SCOPED_TRACE(name);
+    Xoshiro256 rng(91);
+    const trace::Trace made = registry.make({name, {}}, 20, 3'000, rng);
+    EXPECT_EQ(Xoshiro256(rng).next(), Xoshiro256(91).next());
+    auto stream = registry.make_stream({name, {}}, 20, 3'000, rng);
+    ASSERT_NE(stream, nullptr);
+    EXPECT_EQ(stream->total(), 3'000u);
+    EXPECT_EQ(rng.next(), Xoshiro256(91).next());
+    const trace::Trace streamed = trace::materialize(*stream);
+    ASSERT_EQ(streamed.size(), made.size());
+    for (std::size_t i = 0; i < made.size(); ++i) {
+      ASSERT_EQ(streamed[i], made[i]) << "request " << i;
+    }
+  }
+}
+
+TEST(WorkloadRegistry, CsvWithoutPathThrowsSpecError) {
+  // `path` is the csv entry's one required parameter.
   EXPECT_THROW((void)WorkloadRegistry::instance().make_stream(
-                   {"csv", {}}, 16, 100, rng),
+                   {"csv", {}}, 16, 100, Xoshiro256(5)),
                SpecError);
 }
 

@@ -147,9 +147,9 @@ TEST(RunScenario, IsSeedReproducible) {
 }
 
 TEST(RunScenario, StreamedReplayMatchesMaterializedLedgers) {
-  // run_scenario_streamed pulls the workload through the registry's
-  // stream twins; since those are bit-identical to their generators, every
-  // checkpoint of every run must equal the materialized entry point's.
+  // run_scenario_streamed regenerates the workload's stream per task,
+  // run_scenario replays it once materialized; both start from the same
+  // RNG state, so every checkpoint of every run must agree.
   const ScenarioSpec spec = ScenarioSpec::parse(
       "topology=leaf_spine:spines=4;workload=flow_pool:pairs=60,skew=1.2;"
       "algorithms=r_bma:engine=lru,bma,rotor;b=2,4;racks=12;requests=5000;"
@@ -177,9 +177,10 @@ TEST(RunScenario, StreamedReplayMatchesMaterializedLedgers) {
   }
 }
 
-TEST(RunScenario, StreamedRejectsOfflineAlgorithmsAndCsv) {
-  // Offline comparators need the full trace up front; csv has no stream
-  // twin.  Both must surface as SpecError, not aborts.
+TEST(RunScenario, StreamedRejectsOfflineAlgorithmsAndMissingFiles) {
+  // Offline comparators need the full trace up front, which a streamed
+  // run never holds; a csv workload whose file cannot be opened has no
+  // requests to stream.  Both must surface as SpecError, not aborts.
   ScenarioSpec offline = ScenarioSpec::parse(
       "workload=uniform;algorithms=so_bma;b=2;racks=8;requests=500;"
       "checkpoints=2;seed=3");
@@ -188,6 +189,74 @@ TEST(RunScenario, StreamedRejectsOfflineAlgorithmsAndCsv) {
       "workload=csv:path=/nonexistent.csv;algorithms=bma;b=2;racks=8;"
       "requests=500;checkpoints=2;seed=3");
   EXPECT_THROW((void)scenario::run_scenario_streamed(csv), SpecError);
+}
+
+TEST(RunScenario, CsvWorkloadStreamsLikeItsMaterializedRun) {
+  // A csv import streams from the trace it owns, so the streamed entry
+  // point must reproduce the materialized ledgers checkpoint for
+  // checkpoint.
+  const std::string path = ::testing::TempDir() + "rdcn_scenario_four.csv";
+  {
+    std::ofstream out(path);
+    out << "# racks=4 name=four\n0,1\n2,3\n0,1\n1,2\n";
+  }
+  const ScenarioSpec spec = ScenarioSpec::parse(
+      "topology=ring;workload=csv:path=" + path +
+      ";algorithms=r_bma,bma,so_bma;b=1;racks=4;requests=4;alpha=2;"
+      "trials=2;checkpoints=4;seed=5");
+  const ScenarioResult materialized = scenario::run_scenario(spec);
+  ASSERT_EQ(materialized.workload.size(), 4u);
+  // so_bma is offline: the streamed run must leave it out.
+  ScenarioSpec online = spec;
+  online.algorithms.pop_back();
+  const ScenarioResult streamed = scenario::run_scenario_streamed(online);
+  ASSERT_EQ(streamed.runs.size(), 2u);
+  for (std::size_t i = 0; i < streamed.runs.size(); ++i) {
+    const sim::RunResult& m = materialized.runs[i];
+    const sim::RunResult& s = streamed.runs[i];
+    EXPECT_EQ(s.algorithm, m.algorithm);
+    ASSERT_EQ(s.checkpoints.size(), 4u);
+    ASSERT_EQ(m.checkpoints.size(), 4u);
+    for (std::size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(s.checkpoints[c].requests, m.checkpoints[c].requests);
+      EXPECT_EQ(s.checkpoints[c].routing_cost, m.checkpoints[c].routing_cost)
+          << m.algorithm << " cp " << c;
+      EXPECT_EQ(s.checkpoints[c].reconfig_cost,
+                m.checkpoints[c].reconfig_cost)
+          << m.algorithm << " cp " << c;
+      EXPECT_EQ(s.checkpoints[c].matching_size,
+                m.checkpoints[c].matching_size)
+          << m.algorithm << " cp " << c;
+    }
+  }
+}
+
+TEST(RunScenario, BadRunShapesRaiseSpecErrorInsteadOfAborting) {
+  // Shapes the simulator cannot replay: each must come back as SpecError
+  // from both entry points, before any work.
+  const std::string short_csv =
+      ::testing::TempDir() + "rdcn_scenario_short.csv";
+  {
+    std::ofstream out(short_csv);
+    out << "# racks=4\n0,1\n2,3\n";
+  }
+  const std::string base =
+      "topology=ring;algorithms=bma;b=2;racks=8;trials=1;seed=3;";
+  const std::vector<std::string> bad = {
+      base + "workload=uniform;requests=3;checkpoints=8",
+      base + "workload=uniform;requests=100;checkpoints=0",
+      base + "workload=uniform;requests=0;checkpoints=1",
+      "topology=ring;algorithms=bma;b=2;racks=1;trials=1;seed=3;"
+      "workload=uniform;requests=100;checkpoints=2",
+      // Two rows against the default 8 checkpoints.
+      base + "workload=csv:path=" + short_csv + ";requests=100",
+  };
+  for (const std::string& text : bad) {
+    SCOPED_TRACE(text);
+    const ScenarioSpec spec = ScenarioSpec::parse(text);
+    EXPECT_THROW((void)scenario::run_scenario(spec), SpecError);
+    EXPECT_THROW((void)scenario::run_scenario_streamed(spec), SpecError);
+  }
 }
 
 TEST(RunScenario, BIndependentAlgorithmsRunOncePerSweep) {
