@@ -1,10 +1,11 @@
 // rdcn: open-addressing hash containers keyed by 64-bit integers.
 //
-// The matching algorithms keep one record per *node pair* that has ever
-// been requested; on multi-hundred-thousand-request traces this map is the
-// hottest data structure in the simulator.  std::unordered_map's
-// node-per-entry layout is cache-hostile, so we provide a flat,
-// linear-probing map with tombstone-free backward-shift deletion.
+// Sparse key spaces — pair ids in the paging engines' per-rack caches, the
+// demand predictor, the offline comparators and the trace statistics —
+// need a map keyed by 64-bit ids.  std::unordered_map's node-per-entry
+// layout is cache-hostile, so we provide a flat, linear-probing map with
+// tombstone-free backward-shift deletion.  (The online algorithms' request
+// paths index dense per-pair tables instead; see core::pair_index.)
 //
 // Tagged layout (TurboHash-style cell/tag probing): occupancy and a 7-bit
 // hash fingerprint live in a *separate* contiguous 1-byte tag array, so a
@@ -22,7 +23,7 @@
 //     are no tombstones and the two arrays always agree.
 //
 // Keys are required to be != kEmptyKey (0xFFFF'FFFF'FFFF'FFFF), which edge
-// ids never are (see core/types.hpp).
+// ids never are (see trace/request.hpp).
 #pragma once
 
 #include <algorithm>
@@ -71,7 +72,6 @@ class FlatMap {
 
   void clear() {
     std::fill(tags_.begin(), tags_.end(), kEmptyTag);
-    for (auto& s : slots_) s.key = kEmptyKey;  // key-scrub invariant
     size_ = 0;
   }
 
@@ -120,45 +120,6 @@ class FlatMap {
     return find(key) != nullptr;
   }
 
-  /// Sentinel for "no cached slot" (see find_index / at_index).
-  /// Out-of-range values (including kNoSlot truncated to any width) simply
-  /// fail at_index validation, so callers may store indexes narrowed to
-  /// uint32 as long as the table stays below 2^32 slots.
-  static constexpr std::size_t kNoSlot = ~std::size_t{0};
-
-  /// Like find(), but returns the slot index of `key` (kNoSlot if absent).
-  /// The index stays valid until a rehash, or until a backward-shifting
-  /// erase displaces the entry — callers must therefore treat it as a
-  /// *hint* and re-validate through at_index().
-  std::size_t find_index(std::uint64_t key) const noexcept {
-    const std::uint64_t h = detail::mix64(key);
-    const std::uint8_t tag = tag_of(h);
-    std::size_t i = h & mask_;
-    while (true) {
-      const std::uint8_t t = tags_[i];
-      if (t == tag && slots_[i].key == key) return i;
-      if (t == kEmptyTag) return kNoSlot;
-      i = next(i);
-    }
-  }
-
-  /// Validated O(1) access through a cached slot index: returns the value
-  /// iff `index` currently holds `key` (i.e. the hint is still fresh),
-  /// nullptr otherwise — never a stale or deleted entry, because
-  /// unoccupied slots always carry kEmptyKey (see the key-scrub invariant
-  /// in erase/clear/rehash), so a single key compare decides validity.
-  /// This skips the hash mix and probe walk entirely, which is what makes
-  /// BMA's Θ(b) eviction scan cheap: the scan caches one slot index per
-  /// incident matching edge.
-  V* at_index(std::size_t index, std::uint64_t key) noexcept {
-    RDCN_DCHECK(key != kEmptyKey);
-    if (index > mask_ || slots_[index].key != key) return nullptr;
-    return &slots_[index].value;
-  }
-  const V* at_index(std::size_t index, std::uint64_t key) const noexcept {
-    return const_cast<FlatMap*>(this)->at_index(index, key);
-  }
-
   /// Removes `key` if present; returns whether it was present.
   bool erase(std::uint64_t key) noexcept {
     const std::uint64_t h = detail::mix64(key);
@@ -188,7 +149,6 @@ class FlatMap {
       j = next(j);
     }
     tags_[hole] = kEmptyTag;
-    slots_[hole].key = kEmptyKey;  // key-scrub invariant (see at_index)
     --size_;
     return true;
   }
@@ -213,22 +173,10 @@ class FlatMap {
 
   std::size_t capacity() const noexcept { return slots_.size(); }
 
-  /// Hints the cache that a lookup for `key` is imminent: touches the tag
-  /// line and home slot a probe for `key` starts at.  Purely advisory (no
-  /// semantic effect); used by batch serve loops that know the next
-  /// request while processing the current one.
-  void prefetch(std::uint64_t key) const noexcept {
-    const std::uint64_t h = detail::mix64(key);
-    __builtin_prefetch(tags_.data() + (h & mask_));
-    __builtin_prefetch(slots_.data() + (h & mask_));
-  }
-
  private:
   static constexpr std::uint8_t kEmptyTag = 0;
 
   struct Slot {
-    // Unoccupied slots must hold kEmptyKey (the key-scrub invariant), so
-    // at_index() can validate a cached slot index with one key compare.
     std::uint64_t key = kEmptyKey;
     V value{};
   };

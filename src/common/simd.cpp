@@ -45,19 +45,6 @@ std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
   return kNpos;
 }
 
-std::uint64_t gather_sum_u16(const std::uint16_t* base,
-                             const std::uint32_t* idx,
-                             std::size_t n) noexcept {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < n; ++i) sum += base[idx[i]];
-  return sum;
-}
-
-void gather_u16(const std::uint16_t* base, const std::uint32_t* idx,
-                std::size_t n, std::uint16_t* out) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = base[idx[i]];
-}
-
 }  // namespace scalar
 
 #if RDCN_SIMD_X86
@@ -218,54 +205,6 @@ __attribute__((target("avx2"))) std::size_t find_u64_avx2(
   return kNpos;
 }
 
-__attribute__((target("avx2"))) std::uint64_t gather_sum_u16_avx2(
-    const std::uint16_t* base, const std::uint32_t* idx,
-    std::size_t n) noexcept {
-  // 32-bit gathers at base + 2*idx (scale 2) pull each u16 plus one stray
-  // high half-word; the mask strips it.  Requires the 2-byte padding the
-  // header contract prescribes.
-  const __m256i lo16 = _mm256_set1_epi32(0xFFFF);
-  __m256i acc_lo = _mm256_setzero_si256();
-  __m256i acc_hi = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i g = _mm256_and_si256(
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), v, 2),
-        lo16);
-    acc_lo = _mm256_add_epi64(
-        acc_lo, _mm256_cvtepu32_epi64(_mm256_castsi256_si128(g)));
-    acc_hi = _mm256_add_epi64(
-        acc_hi, _mm256_cvtepu32_epi64(_mm256_extracti128_si256(g, 1)));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
-                     _mm256_add_epi64(acc_lo, acc_hi));
-  std::uint64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) sum += base[idx[i]];
-  return sum;
-}
-
-__attribute__((target("avx2"))) void gather_u16_avx2(
-    const std::uint16_t* base, const std::uint32_t* idx, std::size_t n,
-    std::uint16_t* out) noexcept {
-  const __m256i lo16 = _mm256_set1_epi32(0xFFFF);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i g = _mm256_and_si256(
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), v, 2),
-        lo16);
-    // packus over the two 128-bit halves emits lanes 0..7 in order.
-    const __m128i packed = _mm_packus_epi32(_mm256_castsi256_si128(g),
-                                            _mm256_extracti128_si256(g, 1));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), packed);
-  }
-  for (; i < n; ++i) out[i] = base[idx[i]];
-}
-
 // ---------------------------------------------------------------------------
 // AVX-512 argmin.  The AVX2 select loop is port-limited (epi64 compares
 // and wide blends fight over the same ports); AVX-512 compares go to mask
@@ -273,7 +212,7 @@ __attribute__((target("avx2"))) void gather_u16_avx2(
 // contract is load-bearing here), mask logic is one k-op, and masked
 // moves are single-uop — at twice the lane width.  Only argmin gets a
 // 512-bit variant: it is the one kernel on the per-request critical path
-// at large b; find/gather reuse the AVX2 bodies in the AVX-512 table.
+// at large b; find reuses the AVX2 body in the AVX-512 table.
 //
 // GCC 12's *unmasked* AVX-512 permute/extract intrinsics expand through
 // _mm512_undefined_epi32() in the header, which trips a spurious
@@ -380,9 +319,7 @@ __attribute__((target("avx512f"))) std::size_t argmin_u64_pair_avx512(
 #pragma GCC diagnostic pop
 
 // ---------------------------------------------------------------------------
-// SSE4.2 variants (2-lane epi64 / 4-lane epi32).  No gather instruction at
-// this level — the gathers fall through to the scalar reference, which the
-// dispatch table encodes directly.
+// SSE4.2 variants (2-lane epi64).
 // ---------------------------------------------------------------------------
 
 __attribute__((target("sse4.2"))) std::size_t argmin_u64_pair_sse42(
@@ -460,24 +397,28 @@ __attribute__((target("sse4.2"))) std::size_t find_u64_sse42(
 namespace {
 
 constexpr detail::KernelTable kScalarTable = {
-    scalar::argmin_u64_pair, scalar::find_u64,   scalar::gather_sum_u16,
-    scalar::gather_u16,      Isa::kScalar,
+    scalar::argmin_u64_pair,
+    scalar::find_u64,
+    Isa::kScalar,
 };
 
 #if RDCN_SIMD_X86
 constexpr detail::KernelTable kSse42Table = {
-    argmin_u64_pair_sse42, find_u64_sse42,     scalar::gather_sum_u16,
-    scalar::gather_u16,    Isa::kSse42,
+    argmin_u64_pair_sse42,
+    find_u64_sse42,
+    Isa::kSse42,
 };
 
 constexpr detail::KernelTable kAvx2Table = {
-    argmin_u64_pair_avx2, find_u64_avx2,   gather_sum_u16_avx2,
-    gather_u16_avx2,      Isa::kAvx2,
+    argmin_u64_pair_avx2,
+    find_u64_avx2,
+    Isa::kAvx2,
 };
 
 constexpr detail::KernelTable kAvx512Table = {
-    argmin_u64_pair_avx512, find_u64_avx2,   gather_sum_u16_avx2,
-    gather_u16_avx2,        Isa::kAvx512,
+    argmin_u64_pair_avx512,
+    find_u64_avx2,
+    Isa::kAvx512,
 };
 #endif
 

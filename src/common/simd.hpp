@@ -1,20 +1,20 @@
 // rdcn: the hot-kernel library — small, portable SIMD primitives behind
 // runtime dispatch.
 //
-// The serve pipeline's innermost loops are three tiny, branch-free array
-// kernels over BMA's SoA rack rows and the distance matrix:
+// BMA's Θ(b) eviction scan (core/rack_rows.hpp) is two tiny, branch-free
+// kernels over its SoA rack rows:
 //
-//   argmin_u64_pair   BMA's eviction scan: least (usage, admitted_at) with
-//                     index capture (lexicographic, lowest index on full
-//                     ties, so results never depend on lane order),
-//   find_u64          membership scan over BMA's rack-row keys (first
-//                     occurrence),
-//   gather_u16 /      batch-path distance gathers over the DistanceMatrix
-//   gather_sum_u16    u16 storage (32-bit gathers; see the padding contract
-//                     below).
+//   argmin_u64_pair   least (usage, admitted_at) with index capture
+//                     (lexicographic, lowest index on full ties, so results
+//                     never depend on lane order),
+//   find_u64          membership scan over the rack-row keys (first
+//                     occurrence).
 //
+// At b >= 16 they speed BMA's serve loop up end to end (perf_gate's bma
+// rows).
 // Matching membership is not a kernel: core::BMatching answers it from an
-// adjacency bitmap with one load.
+// adjacency bitmap with one load, and distance lookups are one load from
+// net::DistanceMatrix.
 //
 // Each kernel has a scalar reference implementation (namespace simd::scalar,
 // always compiled, the semantic contract) plus SSE4.2, AVX2, and (for the
@@ -35,14 +35,6 @@
 // compares (AVX2 has no unsigned epi64 compare), so inputs must stay below
 // 2^63.  Usage counters and admission clock ticks are bounded by the trace
 // length — checked by RDCN_DCHECK in the scalar reference.
-//
-// Gather contract: gather kernels issue 32-bit loads at base + 2*idx, so
-// `base` must be readable for 2 bytes past the highest indexed element.
-// net::DistanceMatrix pads its storage accordingly (see
-// DistanceMatrix::data()); other callers must over-allocate by one element.
-// Index values must stay below 2^31: the AVX2 gather interprets them as
-// signed 32-bit offsets (callers with larger index spaces — a distance
-// matrix needs ~46k racks to get there — must use direct lookups instead).
 #pragma once
 
 #include <cstddef>
@@ -92,15 +84,6 @@ std::size_t argmin_u64_pair(const std::uint64_t* primary,
 std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
                      std::uint64_t needle) noexcept;
 
-/// Sum of base[idx[i]] over i < n (u16 loads, u64 accumulation).
-std::uint64_t gather_sum_u16(const std::uint16_t* base,
-                             const std::uint32_t* idx,
-                             std::size_t n) noexcept;
-
-/// out[i] = base[idx[i]] for i < n.
-void gather_u16(const std::uint16_t* base, const std::uint32_t* idx,
-                std::size_t n, std::uint16_t* out) noexcept;
-
 }  // namespace scalar
 
 // ---------------------------------------------------------------------------
@@ -115,10 +98,6 @@ struct KernelTable {
                                  std::size_t) noexcept;
   std::size_t (*find_u64)(const std::uint64_t*, std::size_t,
                           std::uint64_t) noexcept;
-  std::uint64_t (*gather_sum_u16)(const std::uint16_t*, const std::uint32_t*,
-                                  std::size_t) noexcept;
-  void (*gather_u16)(const std::uint16_t*, const std::uint32_t*, std::size_t,
-                     std::uint16_t*) noexcept;
   Isa isa;
 };
 
@@ -140,19 +119,6 @@ inline std::size_t find_u64(const std::uint64_t* keys, std::size_t n,
                             std::uint64_t needle) noexcept {
   if (n <= 4) return scalar::find_u64(keys, n, needle);
   return detail::active_kernels()->find_u64(keys, n, needle);
-}
-
-inline std::uint64_t gather_sum_u16(const std::uint16_t* base,
-                                    const std::uint32_t* idx,
-                                    std::size_t n) noexcept {
-  if (n <= 8) return scalar::gather_sum_u16(base, idx, n);
-  return detail::active_kernels()->gather_sum_u16(base, idx, n);
-}
-
-inline void gather_u16(const std::uint16_t* base, const std::uint32_t* idx,
-                       std::size_t n, std::uint16_t* out) noexcept {
-  if (n <= 8) return scalar::gather_u16(base, idx, n, out);
-  return detail::active_kernels()->gather_u16(base, idx, n, out);
 }
 
 }  // namespace rdcn::simd

@@ -1,7 +1,5 @@
 #include "core/bma.hpp"
 
-#include <algorithm>
-
 namespace rdcn::core {
 
 void Bma::on_request(const Request& r, bool matched) {
@@ -23,7 +21,7 @@ void Bma::on_request(const Request& r, bool matched) {
   if (matched) {
     // A matched pair is incident to both endpoints, so the scans above
     // already located its row entries — no extra probe.
-    bump_matched(r, key, su.request_index, sv.request_index);
+    bump_matched(r, su.request_index, sv.request_index);
     return;
   }
 
@@ -35,11 +33,10 @@ void Bma::serve_batch(std::span<const Request> batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Request& r = batch[i];
     // One-request lookahead (only a batch knows its future): pull the next
-    // request's pair record and incident row columns toward the cache
-    // while the current scans run.  Advisory only — no semantic effect.
+    // request's incident row columns toward the cache while the current
+    // scans run.  Advisory only — no semantic effect.
     if (i + 1 < batch.size()) {
       const Request& next = batch[i + 1];
-      pairs_.prefetch(pair_key(next));
       rows_.prefetch(next.u);
       rows_.prefetch(next.v);
     }
@@ -61,7 +58,7 @@ void Bma::serve_batch(std::span<const Request> batch) {
     if (su.request_index != RackRows::kNone) {
       acc.routing_cost += 1;
       ++acc.direct_serves;
-      bump_matched(r, key, su.request_index, sv.request_index);
+      bump_matched(r, su.request_index, sv.request_index);
       continue;
     }
     const std::uint64_t d = dist(r.u, r.v);
@@ -71,46 +68,28 @@ void Bma::serve_batch(std::span<const Request> batch) {
   commit_routing(acc);
 }
 
-void Bma::bump_matched(const Request& r, std::uint64_t key,
-                       std::size_t index_u, std::size_t index_v) {
+void Bma::bump_matched(const Request& r, std::size_t index_u,
+                       std::size_t index_v) {
   RDCN_DCHECK(index_u != RackRows::kNone && index_v != RackRows::kNone);
   rows_.bump_usage(r.u, index_u);
   rows_.bump_usage(r.v, index_v);
-  // Keep the map's record authoritative: one validated O(1) slot access
-  // (FlatMap::at_index), with a real find() as the fallback when the
-  // cached hint went stale (rehash or backward-shift).
-  std::uint32_t& slot = rows_.slot_at(r.u, index_u);
-  PairState* s = pairs_.at_index(slot, key);
-  if (s == nullptr) {
-    const std::size_t index = pairs_.find_index(key);
-    slot = static_cast<std::uint32_t>(index);
-    s = pairs_.at_index(index, key);
-    RDCN_DCHECK(s != nullptr);
-  }
-  ++s->usage;
-  // Mirror invariant: both row copies track the map record exactly.
-  RDCN_DCHECK(s->usage == rows_.usage_at(r.u, index_u));
-  RDCN_DCHECK(s->usage == rows_.usage_at(r.v, index_v));
+  // Both endpoint rows hold the edge's usage; they move in lockstep.
+  RDCN_DCHECK(rows_.usage_at(r.u, index_u) == rows_.usage_at(r.v, index_v));
 }
 
 void Bma::charge_and_maybe_admit(const Request& r, std::uint64_t key,
                                  std::uint64_t d) {
-  PairState& s = *pairs_.try_emplace(key).first;
-  s.charge += d;
-  if (s.charge < alpha()) return;
+  std::uint64_t& charge = charges_[pair_index(r.u, r.v)];
+  charge += d;
+  if (charge < alpha()) return;
 
   // The pair has paid α in fixed-network routing: admit it.
   if (matching_view().full(r.u)) evict_at(r.u);
   if (matching_view().full(r.v)) evict_at(r.v);
   add_matching_edge(r.u, r.v);
-  // Eviction above may have backward-shifted the map; re-resolve the slot.
-  const std::size_t slot = pairs_.find_index(key);
-  PairState& admitted = *pairs_.at_index(slot, key);
-  admitted.charge = 0;
-  admitted.usage = 0;
-  admitted.admitted_at = clock_;
-  rows_.admit(r.u, key, static_cast<std::uint32_t>(slot), clock_);
-  rows_.admit(r.v, key, static_cast<std::uint32_t>(slot), clock_);
+  charge = 0;
+  rows_.admit(r.u, key, clock_);
+  rows_.admit(r.v, key, clock_);
 }
 
 void Bma::evict_at(Rack w) {
@@ -123,7 +102,10 @@ void Bma::evict_at(Rack w) {
   }
   RDCN_ASSERT_MSG(victim_key != kNoCandidate,
                   "evict_at on rack with no matching edges");
-  pairs_.erase(victim_key);
+  // The evicted pair's counter restarts from zero: it was reset at
+  // admission and matched requests never charge, so it is zero already.
+  RDCN_DCHECK(charges_[pair_index(pair_lo(victim_key),
+                                  pair_hi(victim_key))] == 0);
   remove_matching_edge_key(victim_key);
   [[maybe_unused]] const bool lo = rows_.evict(pair_lo(victim_key), victim_key);
   [[maybe_unused]] const bool hi = rows_.evict(pair_hi(victim_key), victim_key);

@@ -22,22 +22,21 @@
 // the mechanistic source of BMA's runtime growth with b seen in the
 // paper's Figs 1b–4b.
 //
-// Since PR 5 the scan runs entirely over *resident SoA rack rows*
-// (core/rack_rows.hpp): each rack keeps dense keys[] / usage[] /
-// admitted_at[] columns mirroring its incident matching edges, written
-// through at every mutation point (admission, eviction, direct-serve
-// usage bump), so the scan is two streaming SIMD kernels
-// (simd::argmin_u64_pair + simd::find_u64) with zero hash probes and zero
-// pointer-chasing.  The FlatMap<PairState> remains the source of truth
-// for lookups (charge accounting); only the matched-request usage bump
-// touches it, through a validated cached-slot hint.  Admission clock
-// ticks are unique, so the scan's argmin victim is unique and neither row
-// order nor SIMD lane order can affect the ledger.
+// State layout: the counters c[e] live in a dense triangular table indexed
+// by pair_index() (core/types.hpp), one u64 per rack pair, so charging a
+// request is one indexed add.  A matched edge's usage and admission tick
+// live only in the SoA rack rows (core/rack_rows.hpp), so the scan is two
+// streaming SIMD kernels (simd::argmin_u64_pair + simd::find_u64) with no
+// hashing.  A matched pair's counter is always 0 — admission resets it and
+// matched requests never charge — so eviction leaves the table untouched.
+// Admission clock ticks are unique, so the scan's argmin victim is unique
+// and neither row order nor SIMD lane order can affect the ledger.
 #pragma once
 
-#include "common/flat_hash.hpp"
+#include <algorithm>
+#include <vector>
+
 #include "core/online_matcher.hpp"
-#include "core/pair_state.hpp"
 #include "core/rack_rows.hpp"
 
 namespace rdcn::core {
@@ -46,6 +45,7 @@ class Bma final : public OnlineBMatcher {
  public:
   explicit Bma(const Instance& instance)
       : OnlineBMatcher(instance),
+        charges_(pair_table_size(instance.num_racks()), 0),
         eviction_candidate_(instance.num_racks(), kNoCandidate),
         rows_(instance.num_racks()) {}
 
@@ -61,7 +61,7 @@ class Bma final : public OnlineBMatcher {
 
   void reset() override {
     OnlineBMatcher::reset();
-    pairs_.clear();
+    std::fill(charges_.begin(), charges_.end(), 0);
     std::fill(eviction_candidate_.begin(), eviction_candidate_.end(),
               kNoCandidate);
     rows_.clear();
@@ -70,8 +70,7 @@ class Bma final : public OnlineBMatcher {
 
   /// Test hook: accumulated charge toward admission for pair key.
   std::uint64_t charge(std::uint64_t key) const {
-    const PairState* s = pairs_.find(key);
-    return s != nullptr ? s->charge : 0;
+    return charges_[pair_index(pair_lo(key), pair_hi(key))];
   }
 
  private:
@@ -79,11 +78,10 @@ class Bma final : public OnlineBMatcher {
 
   void on_request(const Request& r, bool matched) override;
 
-  /// Matched-request tail: bumps the mirrored usage columns at both
-  /// endpoint rows (the scans captured the row indices) and the
-  /// authoritative map record via its validated slot hint.
-  void bump_matched(const Request& r, std::uint64_t key,
-                    std::size_t index_u, std::size_t index_v);
+  /// Matched-request tail: bumps the usage columns at both endpoint rows
+  /// (the scans captured the row indices).
+  void bump_matched(const Request& r, std::size_t index_u,
+                    std::size_t index_v);
 
   /// Shared non-matched tail of the request path: accumulates `d` into the
   /// pair's counter and admits the pair once it has paid α (evicting at
@@ -94,9 +92,9 @@ class Bma final : public OnlineBMatcher {
   /// Evicts the cached candidate at w (falls back to a scan if stale).
   void evict_at(Rack w);
 
-  FlatMap<PairState> pairs_;  ///< unified per-pair state (source of truth)
+  std::vector<std::uint64_t> charges_;  ///< c[e] at pair_index(e)
   std::vector<std::uint64_t> eviction_candidate_;  ///< per-rack victim key
-  RackRows rows_;  ///< scan-resident SoA mirror of the incident edges
+  RackRows rows_;  ///< incident matching edges with usage and age
   std::uint64_t clock_ = 0;
 };
 

@@ -8,8 +8,7 @@ RBma::RBma(const Instance& instance, const RBmaOptions& options)
     : OnlineBMatcher(instance),
       options_(options),
       master_rng_(options.seed) {
-  const std::size_t n = instance.num_racks();
-  pairs_.resize(n * (n - 1) / 2);
+  pairs_.resize(pair_table_size(instance.num_racks()));
   ke_by_distance_.resize(std::size_t{instance.max_dist()} + 1);
   for (std::uint64_t d = 1; d < ke_by_distance_.size(); ++d)
     ke_by_distance_[d] = (alpha() + d - 1) / d;

@@ -98,20 +98,15 @@ class RBma final : public OnlineBMatcher {
 
  private:
   /// Per-pair record: the Theorem 1 request counter and the lazy removal
-  /// mark.  One record per rack pair {lo < hi}, stored densely at
-  /// triangular index hi·(hi−1)/2 + lo, so the request path reads it with
-  /// one indexed access and no hashing; the n(n−1)/2 records take at most
-  /// 4n² bytes.  `marked` is only ever true for pairs currently in the
-  /// matching.
+  /// mark.  One record per rack pair, stored densely at pair_index(u, v)
+  /// (core/types.hpp), so the request path reads it with one indexed
+  /// access and no hashing; the n(n−1)/2 records take at most 4n² bytes.
+  /// `marked` is only ever true for pairs currently in the matching.
   struct PairCounter {
     std::uint32_t counter = 0;  ///< requests since last special request
     bool marked = false;        ///< lazily-removed matching edge?
   };
 
-  static std::size_t pair_index(Rack u, Rack v) noexcept {
-    const std::size_t lo = u < v ? u : v, hi = u < v ? v : u;
-    return hi * (hi - 1) / 2 + lo;
-  }
   PairCounter& pair_state(Rack u, Rack v) noexcept {
     return pairs_[pair_index(u, v)];
   }

@@ -58,26 +58,34 @@ ThreadTrace& this_thread_trace() {
   return *mine;
 }
 
+/// The child of `parent` named `name`, created on first use.  `parent`
+/// must belong to the calling thread's tree.
+TraceNode* child_of(TraceNode* parent, const char* name) {
+  // Owner-only read of children; concurrent collectors don't mutate.
+  for (TraceNode* child : parent->children)
+    if (child->name == name || std::strcmp(child->name, name) == 0)
+      return child;
+  auto* node = new TraceNode();
+  node->name = name;
+  node->parent = parent;
+  const std::lock_guard<std::mutex> lock(trace_mu());
+  parent->children.push_back(node);
+  return node;
+}
+
+/// The node of `trace` at the same name path as `foreign`, a node of any
+/// thread's tree (its name and parent never change after creation).
+TraceNode* mirror(ThreadTrace& trace, const TraceNode* foreign) {
+  if (foreign->parent == nullptr) return &trace.root;
+  return child_of(mirror(trace, foreign->parent), foreign->name);
+}
+
 }  // namespace
 
 TraceNode* span_enter(const char* name) {
   ThreadTrace& trace = this_thread_trace();
-  TraceNode* parent = trace.current;
-  // Owner-only read of children; concurrent collectors don't mutate.
-  for (TraceNode* child : parent->children)
-    if (child->name == name || std::strcmp(child->name, name) == 0) {
-      trace.current = child;
-      return child;
-    }
-  auto* node = new TraceNode();
-  node->name = name;
-  node->parent = parent;
-  {
-    const std::lock_guard<std::mutex> lock(trace_mu());
-    parent->children.push_back(node);
-  }
-  trace.current = node;
-  return node;
+  trace.current = child_of(trace.current, name);
+  return trace.current;
 }
 
 void span_exit(TraceNode* node, std::uint64_t elapsed_ns) {
@@ -90,6 +98,21 @@ void span_exit(TraceNode* node, std::uint64_t elapsed_ns) {
 
 void set_tracing(bool on) {
   detail::g_tracing.store(on, std::memory_order_relaxed);
+}
+
+const detail::TraceNode* current_span() {
+  return tracing_enabled() ? detail::this_thread_trace().current : nullptr;
+}
+
+ScopedSpanParent::ScopedSpanParent(const detail::TraceNode* parent) {
+  if (parent == nullptr) return;
+  detail::ThreadTrace& trace = detail::this_thread_trace();
+  saved_ = trace.current;
+  trace.current = detail::mirror(trace, parent);
+}
+
+ScopedSpanParent::~ScopedSpanParent() {
+  if (saved_ != nullptr) detail::this_thread_trace().current = saved_;
 }
 
 const char* intern_span_name(const std::string& name) {

@@ -15,6 +15,10 @@
 // node bookkeeping; the daemon does this at start(), rdcn_sim does it
 // under --profile.
 //
+// Spans opened on a ThreadPool worker nest under the span that was open
+// on the thread that published the job (see ScopedSpanParent), so a
+// parallel region's phases appear once, under their caller.
+//
 // Thread-safety: a node's (count, total_ns) are relaxed atomics written
 // by the owning thread and read by collectors.  Tree-structure mutation
 // (first entry into a phase on a thread) and collection share one global
@@ -47,6 +51,27 @@ inline bool tracing_enabled() noexcept {
 /// Global switch.  Flipping it mid-span is benign: spans only record on
 /// exit if they observed it on on entry.
 void set_tracing(bool on);
+
+/// The calling thread's innermost open span, as a handle another thread
+/// can adopt through ScopedSpanParent; nullptr when tracing is off.
+const detail::TraceNode* current_span();
+
+/// Re-roots the calling thread's spans, for the scope's lifetime, under
+/// the name path of `parent` (a current_span() taken on another thread):
+/// the path's nodes are found or created in this thread's own tree, so
+/// the work merges under the other thread's phase in collect_phases()
+/// instead of forming a separate root.  A nullptr parent does nothing.
+/// The thread pool uses this to keep worker spans under their caller.
+class ScopedSpanParent {
+ public:
+  explicit ScopedSpanParent(const detail::TraceNode* parent);
+  ~ScopedSpanParent();
+  ScopedSpanParent(const ScopedSpanParent&) = delete;
+  ScopedSpanParent& operator=(const ScopedSpanParent&) = delete;
+
+ private:
+  detail::TraceNode* saved_ = nullptr;  ///< this thread's previous span
+};
 
 /// Stable storage for a dynamically-built span name ("algo." + name):
 /// ObsSpan keeps only the pointer, so the bytes must outlive every node
@@ -105,6 +130,8 @@ void reset_traces();
 std::string trace_json();
 
 /// Indented per-phase report; percentages are of each parent's total.
+/// Children that ran in parallel on pool workers sum their time across
+/// threads, so together they can exceed 100% of their parent.
 void write_profile_report(std::ostream& out);
 
 }  // namespace rdcn::obs

@@ -6,6 +6,7 @@
 #include "common/assert.hpp"
 #include "common/clock.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 
 namespace rdcn::sim {
 
@@ -57,6 +58,8 @@ struct ThreadPool::Job {
   std::atomic<std::int64_t> slots;     ///< worker participation slots left
   std::atomic<std::size_t> active{0};  ///< workers currently draining
   std::uint64_t publish_ns = 0;        ///< set by run() before publishing
+  /// The publishing thread's open span; workers nest their spans under it.
+  const obs::detail::TraceNode* span_parent = nullptr;
   std::atomic<bool> claimed{false};    ///< first index claimed (wait metric)
   std::mutex m;
   std::condition_variable cv;
@@ -145,7 +148,10 @@ void ThreadPool::worker_main() {
     }
     job->active.fetch_add(1, std::memory_order_acq_rel);
     lock.unlock();
-    drain(*job);
+    {
+      const obs::ScopedSpanParent span_parent(job->span_parent);
+      drain(*job);
+    }
     {
       // The decrement and the wakeup must both happen under job->m, and
       // nothing may touch the job afterwards: the owner destroys the
@@ -182,6 +188,7 @@ void ThreadPool::run(std::size_t count, std::size_t max_parallelism,
   Job job(body, ctx, count,
           static_cast<std::int64_t>(max_parallelism) - 1, cancel);
   job.publish_ns = monotonic_now_ns();
+  job.span_parent = obs::current_span();
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(&job);

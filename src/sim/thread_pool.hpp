@@ -18,6 +18,10 @@
 // Concurrent run() calls from distinct caller threads are safe (jobs
 // queue); nested run() from inside a worker executes inline on the calling
 // worker to avoid self-deadlock.  Job bodies must not throw.
+//
+// Spans a job body opens on a worker nest under the span that was open
+// where run() was called (obs::ScopedSpanParent), so a profile shows one
+// tree whatever thread ran an index.
 #pragma once
 
 #include <atomic>

@@ -47,13 +47,16 @@ TEST(ObsConcurrency, RegistrationRacesRendering) {
   obs::Registry r;
   std::atomic<bool> stop{false};
   // Scraper thread renders while writers register and record — the
-  // daemon's METRICS verb against live executors.
+  // daemon's METRICS verb against live executors.  It yields between
+  // renders: re-taking the registry mutex back to back starves the
+  // writers under ThreadSanitizer's scheduling.
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       const std::string text = r.render_prometheus();
       const std::string json = r.render_json();
       EXPECT_EQ(json.front(), '{');
       EXPECT_EQ(json.back(), '}');
+      std::this_thread::yield();
     }
   });
   std::vector<std::thread> writers;
@@ -89,14 +92,18 @@ TEST(ObsConcurrency, SpansFromPoolWorkers) {
     std::atomic<std::uint64_t> done{0};
   } ctx;
   sim::ThreadPool pool(4);
-  pool.run(
-      256, 4,
-      [](void* p, std::size_t) {
-        obs::ObsSpan outer("obs_tsan.pool_outer");
-        obs::ObsSpan inner("obs_tsan.pool_inner");
-        static_cast<Ctx*>(p)->done.fetch_add(1, std::memory_order_relaxed);
-      },
-      &ctx);
+  {
+    // Workers adopt the caller's open span and read its nodes.
+    obs::ObsSpan caller("obs_tsan.pool_caller");
+    pool.run(
+        256, 4,
+        [](void* p, std::size_t) {
+          obs::ObsSpan outer("obs_tsan.pool_outer");
+          obs::ObsSpan inner("obs_tsan.pool_inner");
+          static_cast<Ctx*>(p)->done.fetch_add(1, std::memory_order_relaxed);
+        },
+        &ctx);
+  }
   obs::set_tracing(false);
   EXPECT_EQ(ctx.done.load(), 256u);
   // Spans from N workers merge into one phase row with the full count.

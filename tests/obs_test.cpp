@@ -5,6 +5,7 @@
 // that rdcn_sim --profile reports rely on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "common/param_map.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -312,6 +314,41 @@ TEST(Span, TraceJsonIsNested) {
   ASSERT_NE(outer_pos, std::string::npos);
   ASSERT_NE(inner_pos, std::string::npos);
   EXPECT_LT(outer_pos, inner_pos);  // child serialized inside the parent
+}
+
+TEST(Span, PoolWorkerSpansNestUnderTheCaller) {
+  // Spans opened by a job body on pool workers merge under the span open
+  // where the job was published, with the full count, and add no root.
+  // Each index waits until all four are running, so the caller and three
+  // workers each run exactly one.
+  sim::ThreadPool pool(3);
+  std::atomic<int> entered{0};
+  obs::set_tracing(true);
+  obs::reset_traces();
+  {
+    obs::ObsSpan caller("obs_test.pool_caller");
+    auto body = [](void* ctx, std::size_t) {
+      obs::ObsSpan leaf("obs_test.pool_leaf");
+      auto& count = *static_cast<std::atomic<int>*>(ctx);
+      count.fetch_add(1);
+      const std::uint64_t deadline = monotonic_now_ns() + 10'000'000'000ull;
+      while (count.load() < 4 && monotonic_now_ns() < deadline)
+        std::this_thread::yield();
+    };
+    pool.run(4, 4, body, &entered);
+  }
+  obs::set_tracing(false);
+  ASSERT_EQ(entered.load(), 4);
+
+  std::size_t leaf_rows = 0;
+  for (const obs::PhaseTotal& p : obs::collect_phases()) {
+    if (p.name != "obs_test.pool_leaf") continue;
+    ++leaf_rows;
+    EXPECT_EQ(p.path, "obs_test.pool_caller/obs_test.pool_leaf");
+    EXPECT_EQ(p.depth, 1);
+    EXPECT_EQ(p.count, 4u);
+  }
+  EXPECT_EQ(leaf_rows, 1u);
 }
 
 }  // namespace
