@@ -16,7 +16,8 @@ int main(int argc, char** argv) {
 
   Xoshiro256 rng(9);
   const trace::Trace t =
-      trace::generate_microsoft_like(racks, num_requests, {}, rng);
+      trace::materialize(*trace::stream_microsoft_like(
+          racks, num_requests, {}, rng));
 
   const std::size_t b = 12;
   std::printf(

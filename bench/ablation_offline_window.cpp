@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
     const std::size_t racks = 100;
     const net::Topology topo = net::make_fat_tree(racks);
     Xoshiro256 rng(14);
-    const trace::Trace t = trace::generate_facebook_like(
-        trace::FacebookCluster::kHadoop, racks, num_requests, rng);
+    const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+        trace::FacebookCluster::kHadoop, racks, num_requests, rng));
     sweep("facebook-hadoop (bursty, drifting)", t, topo, 12);
   }
   {
@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
     const net::Topology topo = net::make_fat_tree(racks);
     Xoshiro256 rng(15);
     const trace::Trace t =
-        trace::generate_microsoft_like(racks, num_requests, {}, rng);
+        trace::materialize(*trace::stream_microsoft_like(
+            racks, num_requests, {}, rng));
     sweep("microsoft (i.i.d., stationary)", t, topo, 9);
   }
   std::printf(

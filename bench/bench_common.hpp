@@ -46,7 +46,8 @@ inline void run_figure(const FigureSetup& setup, const trace::Trace& trace) {
   std::cout << "trace=" << trace.name() << " requests=" << trace.size()
             << " racks=" << setup.num_racks << " alpha=" << setup.alpha
             << " trials=" << setup.trials << "\n";
-  const trace::TraceStats stats = trace::compute_stats(trace);
+  trace::MaterializedStream stream(trace);
+  const trace::TraceStats stats = trace::compute_stats(stream);
   std::printf(
       "trace stats: distinct_pairs=%zu gini=%.3f entropy=%.3f "
       "locality(w64)=%.3f repeat_p=%.3f\n\n",

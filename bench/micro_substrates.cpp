@@ -142,8 +142,8 @@ BENCHMARK(BM_FatTreeConstruction)->Arg(50)->Arg(100)->Arg(200)
 void BM_TraceGenerationFacebook(benchmark::State& state) {
   Xoshiro256 rng(7);
   for (auto _ : state) {
-    const trace::Trace t = trace::generate_facebook_like(
-        trace::FacebookCluster::kDatabase, 100, 50'000, rng);
+    const trace::Trace t = trace::materialize(*trace::stream_facebook_like(
+        trace::FacebookCluster::kDatabase, 100, 50'000, rng));
     benchmark::DoNotOptimize(t.size());
   }
   state.SetItemsProcessed(state.iterations() * 50'000);
@@ -154,7 +154,7 @@ void BM_TraceGenerationMicrosoft(benchmark::State& state) {
   Xoshiro256 rng(8);
   for (auto _ : state) {
     const trace::Trace t =
-        trace::generate_microsoft_like(50, 50'000, {}, rng);
+        trace::materialize(*trace::stream_microsoft_like(50, 50'000, {}, rng));
     benchmark::DoNotOptimize(t.size());
   }
   state.SetItemsProcessed(state.iterations() * 50'000);

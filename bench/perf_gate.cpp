@@ -272,11 +272,12 @@ int main(int argc, char** argv) {
 
   const net::Topology topo = net::make_fat_tree(kRacks);
   Xoshiro256 fb_rng(2023);
-  const trace::Trace fb = trace::generate_facebook_like(
-      trace::FacebookCluster::kDatabase, kRacks, kRequests, fb_rng);
+  const trace::Trace fb = trace::materialize(*trace::stream_facebook_like(
+      trace::FacebookCluster::kDatabase, kRacks, kRequests, fb_rng));
   Xoshiro256 ms_rng(2024);
   const trace::Trace ms =
-      trace::generate_microsoft_like(kRacks, kRequests, {}, ms_rng);
+      trace::materialize(*trace::stream_microsoft_like(
+          kRacks, kRequests, {}, ms_rng));
 
   const char* algorithms[] = {"bma", "r_bma", "so_bma", "greedy",
                               "oblivious"};

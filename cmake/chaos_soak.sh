@@ -32,8 +32,10 @@ CLIENT=$3
 WORK=$4
 
 # Long enough that SIGKILL lands with most of the run still ahead (the
-# first of 16 checkpoints is ~6% in), matching the serve test suites.
-SPEC='workload=zipf:skew=1.1;algorithms=bma;b=4;racks=16;requests=1600000;trials=1;checkpoints=16;seed=3'
+# first of 16 checkpoints is ~6% in).  The whole run must outlast
+# wait_for's 0.1 s poll plus scheduling delay: at 1.6M requests it took
+# ~0.1 s, and the kill often landed after the last checkpoint.
+SPEC='workload=zipf:skew=1.1;algorithms=bma;b=4;racks=16;requests=6400000;trials=1;checkpoints=16;seed=3'
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -42,6 +44,14 @@ CACHE=$WORK/cache
 
 fail() {
   echo "chaos_soak: FAIL: $*" >&2
+  # Keep the evidence: every daemon and client log of the run, tail first,
+  # on stderr (ctest --output-on-failure prints it; $WORK is wiped on the
+  # next run).
+  for log in "$WORK"/*.log; do
+    [ -f "$log" ] || continue
+    echo "---- tail of $log ----" >&2
+    tail -n 40 "$log" >&2
+  done
   # Leave nothing behind to outlive the test.
   [ -n "${DAEMON_PID:-}" ] && kill -9 "$DAEMON_PID" 2>/dev/null
   exit 1
@@ -60,7 +70,7 @@ wait_for() {
 # ---- ground truth: direct in-process run ------------------------------
 TRUTH=$WORK/truth.csv
 "$SIM" --workload=zipf:skew=1.1 --algorithms=bma --b=4 --racks=16 \
-  --requests=1600000 --trials=1 --checkpoints=16 --seed=3 \
+  --requests=6400000 --trials=1 --checkpoints=16 --seed=3 \
   --csv="$TRUTH" >/dev/null || fail "direct rdcn_sim run failed"
 
 # ---- round 1: SIGKILL mid-run -----------------------------------------
@@ -77,6 +87,9 @@ wait_for "$WORK/client_a.log" "CHECKPOINT"
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null
 wait "$CLIENT_A" 2>/dev/null  # dies with the daemon; outcome irrelevant
+# Round 2 recovers an orphan only if the kill beat the last checkpoint.
+grep -q "seq=16 " "$WORK/client_a.log" &&
+  fail "SIGKILL landed after the run's last checkpoint (run too short)"
 echo "chaos_soak: round 1 ok (daemon SIGKILLed mid-run)"
 
 # ---- round 2: recovery, ATTACH, cached resubmit, graceful drain -------

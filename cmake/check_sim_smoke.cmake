@@ -51,7 +51,8 @@ message(STATUS "rdcn_sim smoke sweep OK: ${line_count} lines, header + 4 checkpo
 # --stream (the workload regenerated per task at constant memory).  The
 # ledger columns must be bit-identical to the materialized run — both
 # replay the same requests — so beyond being well-formed, the CSV must
-# match the materialized CSV line for line.
+# match the materialized CSV line for line, and the printed workload
+# statistics must match too.
 execute_process(
   COMMAND ${SIM}
     --topology=torus:rows=3,cols=3 --racks=9
@@ -66,8 +67,16 @@ execute_process(
 if(NOT stream_rc EQUAL 0)
   message(FATAL_ERROR "rdcn_sim --stream exited with ${stream_rc}\nstdout:\n${stream_out}\nstderr:\n${stream_err}")
 endif()
-if(NOT stream_out MATCHES "streamed")
-  message(FATAL_ERROR "rdcn_sim --stream did not report streamed replay:\n${stream_out}")
+# Both modes fold the trace statistics over the same requests, so the
+# workload line (name, size, gini, locality) must match exactly.
+set(workload_re "workload=[^\n]* gini=[^\n]* locality64=[^\n]*")
+string(REGEX MATCH "${workload_re}" workload_line "${out}")
+string(REGEX MATCH "${workload_re}" stream_workload_line "${stream_out}")
+if(workload_line STREQUAL "")
+  message(FATAL_ERROR "rdcn_sim printed no workload statistics line:\n${out}")
+endif()
+if(NOT stream_workload_line STREQUAL workload_line)
+  message(FATAL_ERROR "rdcn_sim --stream workload line differs from the materialized run:\n  materialized: ${workload_line}\n  streamed:     ${stream_workload_line}")
 endif()
 
 file(STRINGS ${CSV}.streamed stream_lines)
@@ -75,7 +84,7 @@ if(NOT stream_lines STREQUAL lines)
   message(FATAL_ERROR "streamed CSV differs from materialized CSV:\n  materialized: ${lines}\n  streamed:     ${stream_lines}")
 endif()
 
-message(STATUS "rdcn_sim --stream smoke sweep OK: CSV bit-identical to materialized run")
+message(STATUS "rdcn_sim --stream smoke sweep OK: CSV and workload statistics identical to the materialized run")
 
 # A run shape the simulator cannot replay (fewer requests than checkpoints)
 # must come back as a spec error — exit 2 with the reason on stderr — not

@@ -50,8 +50,10 @@ int main() {
     }
   }
   const trace::Trace t = trace::read_csv(csv);
+  trace::MaterializedStream stream(t);
   std::cout << "imported " << t.size() << " requests ("
-            << t.num_distinct_pairs() << " distinct pairs) from CSV\n\n";
+            << trace::compute_stats(stream).distinct_pairs
+            << " distinct pairs) from CSV\n\n";
 
   // --- run ---------------------------------------------------------------
   core::Instance inst;

@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
     Xoshiro256 rng(c + 100);
     const trace::Trace t =
         scenario::make_workload(clusters[c], racks, num_requests, rng);
-    const trace::TraceStats stats = trace::compute_stats(t);
+    trace::MaterializedStream stream(t);
+    const trace::TraceStats stats = trace::compute_stats(stream);
 
     std::printf("---- %s cluster ----\n", clusters[c]);
     std::printf(

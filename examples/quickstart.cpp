@@ -27,7 +27,8 @@ int main() {
             << ", racks=" << result.topology.num_racks()
             << ", mean rack distance="
             << result.topology.distances.mean_distance() << "\n";
-  const trace::TraceStats stats = trace::compute_stats(result.workload);
+  trace::MaterializedStream stream(result.workload);
+  const trace::TraceStats stats = trace::compute_stats(stream);
   std::cout << "workload: " << result.workload.size() << " requests, "
             << stats.distinct_pairs << " distinct pairs, skew(gini)="
             << stats.gini << ", locality(w64)=" << stats.locality_window64

@@ -16,6 +16,7 @@
 //   rdcn_sim --trace=trace.csv --algorithms=r_bma --b=8 --csv=out.csv
 #include <fstream>
 #include <iostream>
+#include <memory>
 
 #include "common/flags.hpp"
 #include "rdcn.hpp"
@@ -41,9 +42,9 @@ constexpr FlagDoc kFlagDocs[] = {
     {"trace", "FILE", "shorthand for --workload=csv:path=FILE"},
     {"requests", "N", "trace length (default 100000)"},
     {"stream", "",
-     "regenerate the workload per task at constant memory instead of "
-     "replaying it materialized (arbitrarily long traces; offline "
-     "algorithms unsupported)"},
+     "regenerate the workload per task, and once more for its statistics, "
+     "at constant memory instead of replaying it materialized (arbitrarily "
+     "long traces; offline algorithms unsupported)"},
     {"algorithms", "LIST",
      "comma-separated algorithm specs (default r_bma,bma,oblivious)"},
     {"b", "LIST", "cache sizes to sweep, e.g. 6,12,18 (default 12)"},
@@ -136,31 +137,30 @@ int main(int argc, char** argv) {
     }
 
     const bool streamed = flags.get_bool("stream", false);
-    const scenario::ScenarioResult result = [&] {
+    scenario::ScenarioResult result;
+    trace::TraceStats stats;
+    {
       // The root span brackets the whole run so child phases (workload
-      // generation, trial execution, checkpoint drains) report as
-      // fractions of it.
+      // generation, trial execution, checkpoint drains, the statistics
+      // fold) report as fractions of it.
       obs::ObsSpan root("rdcn_sim.run");
-      return streamed ? scenario::run_scenario_streamed(spec)
-                      : scenario::run_scenario(spec);
-    }();
+      result = streamed ? scenario::run_scenario_streamed(spec)
+                        : scenario::run_scenario(spec);
+      obs::ObsSpan span("trace.stats");
+      // A streamed run holds no trace: regenerate the stream the tasks
+      // replayed from the run's RNG snapshot and fold it at constant memory.
+      const std::unique_ptr<trace::TraceStream> stream =
+          streamed ? result.workload_stream()
+                   : std::make_unique<trace::MaterializedStream>(
+                         result.workload);
+      stats = trace::compute_stats(*stream);
+    }
 
     std::cout << "scenario: " << result.spec.to_string() << "\n";
-    if (streamed) {
-      // No materialized trace exists to compute stats over — that is the
-      // point of streaming.
-      std::cout << "workload=" << result.workload.name()
-                << " racks=" << result.workload.num_racks()
-                << " requests=" << result.spec.requests
-                << " (streamed: constant-memory replay, stats skipped)\n\n";
-    } else {
-      const trace::TraceStats stats = trace::compute_stats(result.workload);
-      std::cout << "workload=" << result.workload.name()
-                << " racks=" << result.workload.num_racks()
-                << " requests=" << result.workload.size()
-                << " gini=" << stats.gini
-                << " locality64=" << stats.locality_window64 << "\n\n";
-    }
+    std::cout << "workload=" << result.workload.name()
+              << " racks=" << result.workload.num_racks()
+              << " requests=" << stats.num_requests << " gini=" << stats.gini
+              << " locality64=" << stats.locality_window64 << "\n\n";
     sim::print_table(std::cout, result.runs, metric, "rdcn_sim");
     sim::print_summary(std::cout, result.runs, result.runs.back());
 

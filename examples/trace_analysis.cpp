@@ -69,7 +69,8 @@ int main() {
   for (const Row& row : rows) {
     const trace::Trace t =
         scenario::make_workload(row.spec, racks, requests, rng);
-    const trace::TraceStats s = trace::compute_stats(t);
+    trace::MaterializedStream stream(t);
+    const trace::TraceStats s = trace::compute_stats(stream);
     const double saved = rbma_reduction(topo, t, b);
     std::printf("%-30s %8.2f %9.2f %10.2f %10.3f %11.1f%%\n", row.name,
                 s.gini, s.normalized_pair_entropy, s.locality_window64,

@@ -1,11 +1,12 @@
 // rdcn: open-addressing hash containers keyed by 64-bit integers.
 //
 // Sparse key spaces — pair ids in the paging engines' per-rack caches, the
-// demand predictor, the offline comparators and the trace statistics —
-// need a map keyed by 64-bit ids.  std::unordered_map's node-per-entry
-// layout is cache-hostile, so we provide a flat, linear-probing map with
-// tombstone-free backward-shift deletion.  (The online algorithms' request
-// paths index dense per-pair tables instead; see core::pair_index.)
+// demand predictor and the offline comparators — need a map keyed by
+// 64-bit ids.  std::unordered_map's node-per-entry layout is cache-hostile,
+// so we provide a flat, linear-probing map with tombstone-free
+// backward-shift deletion.  (The online algorithms' request paths and the
+// trace statistics index dense per-pair tables instead; see
+// trace::pair_index.)
 //
 // Tagged layout (TurboHash-style cell/tag probing): occupancy and a 7-bit
 // hash fingerprint live in a *separate* contiguous 1-byte tag array, so a

@@ -23,7 +23,7 @@
 // paper's Figs 1b–4b.
 //
 // State layout: the counters c[e] live in a dense triangular table indexed
-// by pair_index() (core/types.hpp), one u64 per rack pair, so charging a
+// by pair_index() (trace/request.hpp), one u64 per rack pair, so charging a
 // request is one indexed add.  A matched edge's usage and admission tick
 // live only in the SoA rack rows (core/rack_rows.hpp), so the scan is two
 // streaming SIMD kernels (simd::argmin_u64_pair + simd::find_u64) with no

@@ -99,7 +99,7 @@ class RBma final : public OnlineBMatcher {
  private:
   /// Per-pair record: the Theorem 1 request counter and the lazy removal
   /// mark.  One record per rack pair, stored densely at pair_index(u, v)
-  /// (core/types.hpp), so the request path reads it with one indexed
+  /// (trace/request.hpp), so the request path reads it with one indexed
   /// access and no hashing; the n(n−1)/2 records take at most 4n² bytes.
   /// `marked` is only ever true for pairs currently in the matching.
   struct PairCounter {

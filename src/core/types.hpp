@@ -11,23 +11,10 @@ namespace rdcn::core {
 using trace::Rack;
 using trace::Request;
 using trace::pair_hi;
+using trace::pair_index;
 using trace::pair_key;
 using trace::pair_lo;
-
-/// Dense index of the unordered rack pair {u, v} (u != v) in a triangular
-/// table of n(n−1)/2 per-pair records: hi·(hi−1)/2 + lo.  Algorithms that
-/// keep per-pair state on the request path index a flat vector with it
-/// instead of hashing the pair key.
-inline std::size_t pair_index(Rack u, Rack v) noexcept {
-  RDCN_DCHECK(u != v);
-  const std::size_t lo = u < v ? u : v, hi = u < v ? v : u;
-  return hi * (hi - 1) / 2 + lo;
-}
-
-/// Number of entries of a pair_index() table over `num_racks` racks.
-inline std::size_t pair_table_size(std::size_t num_racks) noexcept {
-  return num_racks * (num_racks - 1) / 2;
-}
+using trace::pair_table_size;
 
 /// A problem instance: the fixed network (via its rack-to-rack distance
 /// matrix), the online degree bound b, and the reconfiguration cost α.

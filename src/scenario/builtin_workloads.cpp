@@ -1,8 +1,10 @@
-// Built-in workload entries wrapping the trace::stream_* generators, the
-// Facebook/Microsoft cluster profiles, and CSV trace import.  Every builder
-// returns a TraceStream over a snapshot of the scenario RNG, so a fixed
-// seed reproduces the request sequence bit-for-bit, whether a run replays
-// it once materialized or regenerates it per task (`rdcn_sim --stream`).
+// Built-in workload entries wrapping the trace::stream_* generators (each
+// generator's only front end), the Facebook/Microsoft cluster profiles,
+// and CSV trace import.  Every builder returns a TraceStream over a
+// snapshot of the scenario RNG, so a fixed seed reproduces the request
+// sequence bit-for-bit, whether a run replays it once materialized,
+// regenerates it per task (`rdcn_sim --stream`), or regenerates it once
+// more to fold its statistics.
 #include <fstream>
 
 #include "scenario/builtins.hpp"

@@ -230,7 +230,7 @@ ScenarioResult run(const ScenarioSpec& raw_spec, const RunHooks& hooks,
   // what the network actually provides so explicit topology dimensions
   // always yield a runnable scenario.
   const WorkloadRegistry& workloads = WorkloadRegistry::instance();
-  const sim::StreamFactory regenerate =
+  result.workload_stream =
       [&workloads, workload = spec.workload,
        racks = std::min(spec.racks, result.topology.num_racks()),
        requests = spec.requests, rng] {
@@ -238,7 +238,8 @@ ScenarioResult run(const ScenarioSpec& raw_spec, const RunHooks& hooks,
       };
   {
     obs::ObsSpan span("scenario.workload");
-    const std::unique_ptr<trace::TraceStream> stream = regenerate();
+    const std::unique_ptr<trace::TraceStream> stream =
+        result.workload_stream();
     if (stream->num_racks() > result.topology.num_racks())
       throw SpecError(
           "workload '" + spec.workload.to_string() + "' uses " +
@@ -262,7 +263,8 @@ ScenarioResult run(const ScenarioSpec& raw_spec, const RunHooks& hooks,
   const std::vector<sim::ExperimentSpec> specs = make_experiment_specs(spec);
   result.runs = materialize
                     ? sim::run_experiment(config, result.workload, specs)
-                    : sim::run_experiment(config, regenerate, specs);
+                    : sim::run_experiment(config, result.workload_stream,
+                                          specs);
   return result;
 }
 

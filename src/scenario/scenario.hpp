@@ -67,6 +67,11 @@ struct ScenarioResult {
   ScenarioSpec spec;  ///< resolved spec this result was produced from
   net::Topology topology;
   trace::Trace workload;
+  /// Rebuilds the workload's stream from the same RNG snapshot the run
+  /// used, so it yields exactly the requests every task replayed — the way
+  /// to read a streamed run's workload (e.g. its statistics) at constant
+  /// memory.
+  sim::StreamFactory workload_stream;
   /// One (trial-averaged) result per algorithm × b, in spec order;
   /// b-independent algorithms (oblivious) contribute a single entry.
   std::vector<sim::RunResult> runs;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/flat_hash.hpp"
 
@@ -33,10 +32,11 @@ std::vector<Request> sample_distinct_pairs(std::size_t num_racks,
   return pairs;
 }
 
-// Per-request emitters.  Each constructor performs the generator's setup
-// draws and each step() performs exactly the per-request draws of the
-// historical single-shot loop, in the same order — generate_* and stream_*
-// share these, which is what makes them bit-identical.
+// Per-request emitters, driven by EmitterStream (trace_stream.hpp).  Each
+// constructor performs the generator's setup draws and each step()
+// performs exactly the per-request draws of the historical single-shot
+// loop, in the same order, so a seed's request sequence never changes
+// (pinned by the golden stream hashes in trace_stream_test).
 
 class UniformEmitter {
  public:
@@ -314,106 +314,21 @@ class RoundRobinStarEmitter {
   std::size_t i_ = 0;
 };
 
-/// generate_* front end: drains `emitter` into a materialized Trace.
-template <typename Emitter>
-Trace drain(Emitter& emitter, std::size_t num_racks,
-            std::size_t num_requests, const char* name) {
-  Trace t(num_racks, name);
-  t.reserve(num_requests);
-  for (std::size_t i = 0; i < num_requests; ++i) t.push_back(emitter.step());
-  return t;
-}
-
-/// stream_* front end: owns an RNG snapshot plus the emitter driving it.
-template <typename Emitter>
-class EmitterStream final : public TraceStream {
- public:
-  template <typename... Args>
-  EmitterStream(std::size_t num_racks, std::string name, std::size_t total,
-                const Xoshiro256& rng, Args&&... args)
-      : TraceStream(num_racks, std::move(name), total),
-        rng_(rng),  // declared before emitter_, which holds a reference
-        emitter_(num_racks, std::forward<Args>(args)..., rng_) {}
-
- protected:
-  void produce(Request* out, std::size_t n) override {
-    for (std::size_t i = 0; i < n; ++i) out[i] = emitter_.step();
-  }
-
- private:
-  Xoshiro256 rng_;
-  Emitter emitter_;
-};
-
-template <typename Emitter, typename... Args>
-std::unique_ptr<TraceStream> make_stream(std::size_t num_racks,
-                                         std::string name, std::size_t total,
-                                         const Xoshiro256& rng,
-                                         Args&&... args) {
-  return std::make_unique<EmitterStream<Emitter>>(
-      num_racks, std::move(name), total, rng, std::forward<Args>(args)...);
-}
-
 }  // namespace
-
-Trace generate_uniform(std::size_t num_racks, std::size_t num_requests,
-                       Xoshiro256& rng) {
-  UniformEmitter e(num_racks, rng);
-  return drain(e, num_racks, num_requests, "uniform");
-}
-
-Trace generate_zipf_pairs(std::size_t num_racks, std::size_t num_requests,
-                          double skew, Xoshiro256& rng) {
-  ZipfPairsEmitter e(num_racks, skew, rng);
-  return drain(e, num_racks, num_requests, "zipf");
-}
-
-Trace generate_hotspot(std::size_t num_racks, std::size_t num_requests,
-                       double hot_fraction, double hot_share,
-                       Xoshiro256& rng) {
-  HotspotEmitter e(num_racks, hot_fraction, hot_share, rng);
-  return drain(e, num_racks, num_requests, "hotspot");
-}
-
-Trace generate_permutation(std::size_t num_racks, std::size_t num_requests,
-                           Xoshiro256& rng) {
-  PermutationEmitter e(num_racks, rng);
-  return drain(e, num_racks, num_requests, "permutation");
-}
-
-Trace generate_flow_pool(std::size_t num_racks, std::size_t num_requests,
-                         const FlowPoolParams& params, Xoshiro256& rng) {
-  FlowPoolEmitter e(num_racks, params, rng);
-  return drain(e, num_racks, num_requests, "flow_pool");
-}
-
-Trace generate_elephant_mice(std::size_t num_racks, std::size_t num_requests,
-                             std::size_t num_elephants, double elephant_share,
-                             double mean_run_length, Xoshiro256& rng) {
-  ElephantMiceEmitter e(num_racks, num_elephants, elephant_share,
-                        mean_run_length, rng);
-  return drain(e, num_racks, num_requests, "elephant_mice");
-}
-
-Trace generate_round_robin_star(std::size_t num_racks,
-                                std::size_t num_requests, std::size_t k) {
-  Xoshiro256 unused(0);
-  RoundRobinStarEmitter e(num_racks, k, unused);
-  return drain(e, num_racks, num_requests, "round_robin_star");
-}
 
 std::unique_ptr<TraceStream> stream_uniform(std::size_t num_racks,
                                             std::size_t num_requests,
                                             const Xoshiro256& rng) {
-  return make_stream<UniformEmitter>(num_racks, "uniform", num_requests, rng);
+  return make_emitter_stream<UniformEmitter>(num_racks, "uniform",
+                                             num_requests, rng);
 }
 
 std::unique_ptr<TraceStream> stream_zipf_pairs(std::size_t num_racks,
                                                std::size_t num_requests,
                                                double skew,
                                                const Xoshiro256& rng) {
-  return make_stream<ZipfPairsEmitter>(num_racks, "zipf", num_requests, rng,
-                                       skew);
+  return make_emitter_stream<ZipfPairsEmitter>(num_racks, "zipf",
+                                               num_requests, rng, skew);
 }
 
 std::unique_ptr<TraceStream> stream_hotspot(std::size_t num_racks,
@@ -421,39 +336,39 @@ std::unique_ptr<TraceStream> stream_hotspot(std::size_t num_racks,
                                             double hot_fraction,
                                             double hot_share,
                                             const Xoshiro256& rng) {
-  return make_stream<HotspotEmitter>(num_racks, "hotspot", num_requests, rng,
-                                     hot_fraction, hot_share);
+  return make_emitter_stream<HotspotEmitter>(
+      num_racks, "hotspot", num_requests, rng, hot_fraction, hot_share);
 }
 
 std::unique_ptr<TraceStream> stream_permutation(std::size_t num_racks,
                                                 std::size_t num_requests,
                                                 const Xoshiro256& rng) {
-  return make_stream<PermutationEmitter>(num_racks, "permutation",
-                                         num_requests, rng);
+  return make_emitter_stream<PermutationEmitter>(num_racks, "permutation",
+                                                 num_requests, rng);
 }
 
 std::unique_ptr<TraceStream> stream_flow_pool(std::size_t num_racks,
                                               std::size_t num_requests,
                                               const FlowPoolParams& params,
                                               const Xoshiro256& rng) {
-  return make_stream<FlowPoolEmitter>(num_racks, "flow_pool", num_requests,
-                                      rng, params);
+  return make_emitter_stream<FlowPoolEmitter>(num_racks, "flow_pool",
+                                              num_requests, rng, params);
 }
 
 std::unique_ptr<TraceStream> stream_elephant_mice(
     std::size_t num_racks, std::size_t num_requests,
     std::size_t num_elephants, double elephant_share, double mean_run_length,
     const Xoshiro256& rng) {
-  return make_stream<ElephantMiceEmitter>(num_racks, "elephant_mice",
-                                          num_requests, rng, num_elephants,
-                                          elephant_share, mean_run_length);
+  return make_emitter_stream<ElephantMiceEmitter>(
+      num_racks, "elephant_mice", num_requests, rng, num_elephants,
+      elephant_share, mean_run_length);
 }
 
 std::unique_ptr<TraceStream> stream_round_robin_star(std::size_t num_racks,
                                                      std::size_t num_requests,
                                                      std::size_t k) {
-  return make_stream<RoundRobinStarEmitter>(num_racks, "round_robin_star",
-                                            num_requests, Xoshiro256(0), k);
+  return make_emitter_stream<RoundRobinStarEmitter>(
+      num_racks, "round_robin_star", num_requests, Xoshiro256(0), k);
 }
 
 }  // namespace rdcn::trace

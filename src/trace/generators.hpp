@@ -5,44 +5,23 @@
 // directly for controlled experiments: each generator isolates one property
 // (spatial skew, temporal burstiness, adversarial structure, ...) so
 // ablations can vary a single axis.
-// Every generator is implemented as a per-request *emitter* consumed by two
-// front ends: stream_* wraps it in a TraceStream that owns a snapshot of
-// the RNG and produces the request sequence chunk by chunk — the form the
-// workload registry and the simulator replay — and generate_* drains it
-// into a materialized Trace for direct callers (tests, benches, offline
-// analysis), advancing the caller's RNG.
+//
+// Each generator has one front end, stream_*: a TraceStream that owns a
+// snapshot of the caller's RNG (the caller's generator is not advanced) and
+// produces the request sequence chunk by chunk.  The workload registry and
+// the simulator replay it directly; a caller that needs the whole trace
+// (offline comparators, analysis, tests) drains it with
+// trace::materialize(*stream_*(...)).  Generator setup (pair tables,
+// samplers) happens at stream construction; per-request state is
+// O(active flows), not O(requests).
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_stream.hpp"
 
 namespace rdcn::trace {
-
-/// Uniform i.i.d. pairs — no structure at all (the hardest case for any
-/// demand-aware scheme; both BMA and R-BMA degrade to Oblivious).
-Trace generate_uniform(std::size_t num_racks, std::size_t num_requests,
-                       Xoshiro256& rng);
-
-/// Zipf-skewed i.i.d. pairs: pairs ranked by a random permutation, request
-/// probability proportional to 1/rank^s.  Pure spatial skew, zero temporal
-/// structure.
-Trace generate_zipf_pairs(std::size_t num_racks, std::size_t num_requests,
-                          double skew, Xoshiro256& rng);
-
-/// Hotspot: a fraction `hot_fraction` of racks receive `hot_share` of all
-/// traffic (incast/outcast-style concentration).
-Trace generate_hotspot(std::size_t num_racks, std::size_t num_requests,
-                       double hot_fraction, double hot_share,
-                       Xoshiro256& rng);
-
-/// Fixed permutation traffic: rack i talks only to π(i) — the best case
-/// for a b-matching (a single matching covers everything).
-Trace generate_permutation(std::size_t num_racks, std::size_t num_requests,
-                           Xoshiro256& rng);
 
 /// Parameters of the flow-pool generator: a pool of concurrently active
 /// "flows" (rack pairs emitting bursts).  Each step either starts a new
@@ -72,54 +51,54 @@ struct FlowPoolParams {
   double noise_fraction = 0.0;
 };
 
-/// The main structured generator: spatial skew + temporal burstiness +
-/// optional working-set drift.  This is the model behind the Facebook-like
-/// cluster profiles.
-Trace generate_flow_pool(std::size_t num_racks, std::size_t num_requests,
-                         const FlowPoolParams& params, Xoshiro256& rng);
-
-/// Elephants and mice: `num_elephants` heavy pairs carry `elephant_share`
-/// of the traffic in long runs; the rest is uniform mice.  Models
-/// Hadoop-style shuffle traffic.
-Trace generate_elephant_mice(std::size_t num_racks, std::size_t num_requests,
-                             std::size_t num_elephants, double elephant_share,
-                             double mean_run_length, Xoshiro256& rng);
-
-/// Adversarial round-robin over k+1 pairs sharing a common rack (the star
-/// lower-bound shape of Lemma 1 projected onto a general topology): cycles
-/// 0-1, 0-2, ..., 0-(k+1), repeating.  Forces eviction churn at rack 0 for
-/// any online algorithm with degree cap b <= k.
-Trace generate_round_robin_star(std::size_t num_racks,
-                                std::size_t num_requests, std::size_t k);
-
-/// Streaming twins: each produces bit-identically the request sequence of
-/// its generate_* counterpart seeded with the same RNG state, but in
-/// chunks (the rng parameter is snapshotted; the caller's generator is not
-/// advanced).  Generator setup (pair tables, samplers) happens at stream
-/// construction; per-request state is O(active flows), not O(requests).
+/// Uniform i.i.d. pairs — no structure at all (the hardest case for any
+/// demand-aware scheme; both BMA and R-BMA degrade to Oblivious).
 std::unique_ptr<TraceStream> stream_uniform(std::size_t num_racks,
                                             std::size_t num_requests,
                                             const Xoshiro256& rng);
+
+/// Zipf-skewed i.i.d. pairs: pairs ranked by a random permutation, request
+/// probability proportional to 1/rank^s.  Pure spatial skew, zero temporal
+/// structure.
 std::unique_ptr<TraceStream> stream_zipf_pairs(std::size_t num_racks,
                                                std::size_t num_requests,
                                                double skew,
                                                const Xoshiro256& rng);
+
+/// Hotspot: a fraction `hot_fraction` of racks receive `hot_share` of all
+/// traffic (incast/outcast-style concentration).
 std::unique_ptr<TraceStream> stream_hotspot(std::size_t num_racks,
                                             std::size_t num_requests,
                                             double hot_fraction,
                                             double hot_share,
                                             const Xoshiro256& rng);
+
+/// Fixed permutation traffic: rack i talks only to π(i) — the best case
+/// for a b-matching (a single matching covers everything).
 std::unique_ptr<TraceStream> stream_permutation(std::size_t num_racks,
                                                 std::size_t num_requests,
                                                 const Xoshiro256& rng);
+
+/// The main structured generator: spatial skew + temporal burstiness +
+/// optional working-set drift.  This is the model behind the Facebook-like
+/// cluster profiles.
 std::unique_ptr<TraceStream> stream_flow_pool(std::size_t num_racks,
                                               std::size_t num_requests,
                                               const FlowPoolParams& params,
                                               const Xoshiro256& rng);
+
+/// Elephants and mice: `num_elephants` heavy pairs carry `elephant_share`
+/// of the traffic in long runs; the rest is uniform mice.  Models
+/// Hadoop-style shuffle traffic.
 std::unique_ptr<TraceStream> stream_elephant_mice(
     std::size_t num_racks, std::size_t num_requests,
     std::size_t num_elephants, double elephant_share, double mean_run_length,
     const Xoshiro256& rng);
+
+/// Adversarial round-robin over k+1 pairs sharing a common rack (the star
+/// lower-bound shape of Lemma 1 projected onto a general topology): cycles
+/// 0-1, 0-2, ..., 0-(k+1), repeating.  Forces eviction churn at rack 0 for
+/// any online algorithm with degree cap b <= k.  Deterministic (no RNG).
 std::unique_ptr<TraceStream> stream_round_robin_star(std::size_t num_racks,
                                                      std::size_t num_requests,
                                                      std::size_t k);

@@ -16,9 +16,9 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "trace/trace.hpp"
 #include "trace/trace_stream.hpp"
 
 namespace rdcn::trace {
@@ -35,13 +35,9 @@ std::vector<double> make_microsoft_matrix(std::size_t num_racks,
                                           const MicrosoftParams& params,
                                           Xoshiro256& rng);
 
-/// Samples `num_requests` i.i.d. requests from the matrix.
-Trace generate_microsoft_like(std::size_t num_racks,
-                              std::size_t num_requests,
-                              const MicrosoftParams& params, Xoshiro256& rng);
-
-/// Streaming twin of generate_microsoft_like (chunked production, RNG
-/// snapshotted; see trace/trace_stream.hpp).
+/// Samples `num_requests` i.i.d. requests from the matrix, named
+/// "microsoft" (an EmitterStream over a snapshot of `rng`; see
+/// trace/trace_stream.hpp).
 std::unique_ptr<TraceStream> stream_microsoft_like(
     std::size_t num_racks, std::size_t num_requests,
     const MicrosoftParams& params, const Xoshiro256& rng);

@@ -3,6 +3,7 @@
 // individual packet or a certain amount of bytes transferred").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -42,6 +43,21 @@ inline Rack pair_lo(std::uint64_t key) noexcept {
 }
 inline Rack pair_hi(std::uint64_t key) noexcept {
   return static_cast<Rack>(key & 0xFFFFFFFFu);
+}
+
+/// Dense index of the unordered rack pair {u, v} (u != v) in a triangular
+/// table of n(n−1)/2 per-pair records: hi·(hi−1)/2 + lo.  Per-pair state on
+/// the request path (BMA, R-BMA) and the trace statistics fold index a
+/// flat vector with it instead of hashing the pair key.
+inline std::size_t pair_index(Rack u, Rack v) noexcept {
+  RDCN_DCHECK(u != v);
+  const std::size_t lo = u < v ? u : v, hi = u < v ? v : u;
+  return hi * (hi - 1) / 2 + lo;
+}
+
+/// Number of entries of a pair_index() table over `num_racks` racks.
+inline std::size_t pair_table_size(std::size_t num_racks) noexcept {
+  return num_racks * (num_racks - 1) / 2;
 }
 
 }  // namespace rdcn::trace

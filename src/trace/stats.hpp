@@ -7,12 +7,19 @@
 // sequence is).  These metrics let tests assert that the synthetic
 // Facebook-like traces are skewed AND bursty while the Microsoft-like trace
 // is skewed but NOT bursty — the property driving Fig 4c's SO-BMA result.
+//
+// compute_stats is one fold over a TraceStream (a materialized Trace goes
+// in through MaterializedStream).  It reads the stream chunk by chunk,
+// counts pairs in a dense table indexed by pair_index, and keeps the
+// 64-request window as a ring of pair indices plus a dense multiplicity
+// table.  Memory is O(n²) in the rack count n (at most 17 bytes per rack
+// pair, the same order as the n×n distance matrix every run builds) and
+// never grows with the number of requests.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
-#include "trace/trace.hpp"
+#include "trace/trace_stream.hpp"
 
 namespace rdcn::trace {
 
@@ -42,11 +49,9 @@ struct TraceStats {
   double gini = 0.0;
 };
 
-TraceStats compute_stats(const Trace& trace);
-
-/// Per-pair request counts, descending (the "demand matrix" aggregated
-/// over the trace; input to SO-BMA-style static optimization).
-std::vector<std::pair<std::uint64_t, std::uint64_t>> pair_counts_sorted(
-    const Trace& trace);
+/// Folds the statistics over the rest of `stream`, draining it.  The
+/// spatial fields are sums over the per-pair counts sorted descending, so
+/// they do not depend on the order in which pairs first appear.
+TraceStats compute_stats(TraceStream& stream);
 
 }  // namespace rdcn::trace

@@ -1,7 +1,5 @@
 #include "trace/trace.hpp"
 
-#include "common/flat_hash.hpp"
-
 namespace rdcn::trace {
 
 Trace Trace::prefix(std::size_t n) const {
@@ -10,13 +8,6 @@ Trace Trace::prefix(std::size_t n) const {
   t.u_.assign(u_.begin(), u_.begin() + static_cast<std::ptrdiff_t>(m));
   t.v_.assign(v_.begin(), v_.begin() + static_cast<std::ptrdiff_t>(m));
   return t;
-}
-
-std::size_t Trace::num_distinct_pairs() const {
-  FlatSet seen(u_.size());
-  for (std::size_t i = 0; i < u_.size(); ++i)
-    seen.insert(pair_key(u_[i], v_[i]));
-  return seen.size();
 }
 
 }  // namespace rdcn::trace

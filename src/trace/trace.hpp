@@ -108,10 +108,6 @@ class Trace {
     return const_iterator(u_.data() + u_.size(), v_.data() + v_.size());
   }
 
-  /// Raw SoA columns (for analytics and column-wise consumers).
-  const Rack* u_data() const noexcept { return u_.data(); }
-  const Rack* v_data() const noexcept { return v_.data(); }
-
   /// Materializes requests [offset, offset + count) into `out` in AoS form
   /// — the chunk hand-off of the batched serve pipeline.
   void gather(std::size_t offset, std::size_t count, Request* out) const {
@@ -123,9 +119,6 @@ class Trace {
 
   /// Truncated copy of the first `n` requests (for prefix experiments).
   Trace prefix(std::size_t n) const;
-
-  /// Number of distinct rack pairs appearing in the trace.
-  std::size_t num_distinct_pairs() const;
 
  private:
   std::size_t num_racks_ = 0;

@@ -1,12 +1,12 @@
 // rdcn: streaming trace production — requests in fixed-size chunks.
 //
-// A TraceStream is the one replay input of the simulator: a stream
-// produces the next chunk on demand, so a replay's peak memory is one
-// scratch chunk regardless of trace length.  Every generator in
-// trace/generators.hpp (plus the Facebook/Microsoft cluster profiles) has a
-// stream_* front end built on the same per-request emitter, so a stream
-// with seed s produces bit-identically the trace generate_*(s) returns —
-// pinned by the stream-equivalence test suite.  A materialized Trace (a
+// A TraceStream is the one trace front end: the simulator replays it, the
+// statistics fold (trace/stats.hpp) reads it, and every generator in
+// trace/generators.hpp (plus the Facebook/Microsoft cluster profiles) is a
+// stream_* function returning an EmitterStream.  A stream produces the
+// next chunk on demand, so a replay's peak memory is one scratch chunk
+// regardless of trace length; a fixed seed yields a fixed request sequence
+// (pinned by golden hashes in trace_stream_test).  A materialized Trace (a
 // CSV import, a trace the offline comparators must see whole) replays
 // through a MaterializedStream; materialize() goes the other way.
 #pragma once
@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "trace/request.hpp"
 #include "trace/trace.hpp"
 
@@ -88,6 +89,40 @@ class MaterializedStream final : public TraceStream {
   Trace owned_;  ///< empty unless constructed from an rvalue
   const Trace* trace_;
 };
+
+/// The stream behind every generator: owns a snapshot of the caller's RNG
+/// plus an `Emitter` driving it.  Emitter(num_racks, args..., Xoshiro256&)
+/// performs the generator's setup draws; each step() returns the next
+/// request.
+template <typename Emitter>
+class EmitterStream final : public TraceStream {
+ public:
+  template <typename... Args>
+  EmitterStream(std::size_t num_racks, std::string name, std::size_t total,
+                const Xoshiro256& rng, Args&&... args)
+      : TraceStream(num_racks, std::move(name), total),
+        rng_(rng),  // declared before emitter_, which holds a reference
+        emitter_(num_racks, std::forward<Args>(args)..., rng_) {}
+
+ protected:
+  void produce(Request* out, std::size_t n) override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = emitter_.step();
+  }
+
+ private:
+  Xoshiro256 rng_;
+  Emitter emitter_;
+};
+
+template <typename Emitter, typename... Args>
+std::unique_ptr<TraceStream> make_emitter_stream(std::size_t num_racks,
+                                                 std::string name,
+                                                 std::size_t total,
+                                                 const Xoshiro256& rng,
+                                                 Args&&... args) {
+  return std::make_unique<EmitterStream<Emitter>>(
+      num_racks, std::move(name), total, rng, std::forward<Args>(args)...);
+}
 
 /// Drains `stream` to exhaustion into a Trace (name and rack universe
 /// carried over).  The inverse of MaterializedStream.

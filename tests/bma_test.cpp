@@ -90,7 +90,8 @@ TEST(Bma, TieBreakEvictsOldest) {
 TEST(Bma, IsDeterministic) {
   const net::Topology topo = net::make_fat_tree(12);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_uniform(12, 5000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(12, 5000, rng));
   Instance inst = uniform_instance(topo.distances, 3, 8);
 
   Bma a(inst), b(inst);
@@ -117,7 +118,8 @@ TEST(Bma, ResetRestartsLedgersAndState) {
 TEST(Bma, MatchingInvariantsHoldUnderWorkload) {
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(4);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 20000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 20000, 1.2, rng));
   Bma bma(uniform_instance(topo.distances, 4, 12));
   for (const Request& r : t) bma.serve(r);
   EXPECT_TRUE(bma.matching().check_invariants());
@@ -249,8 +251,9 @@ void check_against_reference(bool batched) {
         const Instance inst = uniform_instance(topo.distances, b, alpha);
         Xoshiro256 rng(b * 100 + alpha);
         const trace::Trace traces[] = {
-            trace::generate_zipf_pairs(racks, 3000, 1.1, rng),
-            trace::generate_uniform(racks, 3000, rng)};
+            trace::materialize(*trace::stream_zipf_pairs(
+                racks, 3000, 1.1, rng)),
+            trace::materialize(*trace::stream_uniform(racks, 3000, rng))};
         for (const trace::Trace& t : traces) {
           std::vector<Request> all(t.size());
           t.gather(0, t.size(), all.data());

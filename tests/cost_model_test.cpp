@@ -45,7 +45,8 @@ TEST(CostModel, StaticTotalAddsInstallation) {
 TEST(CostModel, EmptyMatchingEqualsOblivious) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(1);
-  const trace::Trace t = trace::generate_uniform(16, 1000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(16, 1000, rng));
   const Instance inst = make_instance(topo.distances, 2, 5);
   EXPECT_EQ(static_routing_cost(inst, t, {}), oblivious_cost(inst, t));
 }

@@ -83,7 +83,8 @@ TEST(Differential, SimulatorLedgerAgainstNaiveAccounting) {
   // querying the matching before each serve.
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(62);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 15000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 15000, 1.1, rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 3;
@@ -108,7 +109,8 @@ TEST(Differential, SimulatorLedgerAgainstNaiveAccounting) {
 TEST(Differential, StaticCostEvaluatorAgainstObliviousRun) {
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(63);
-  const trace::Trace t = trace::generate_uniform(16, 8000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(16, 8000, rng));
   Instance inst;
   inst.distances = &topo.distances;
   inst.b = 2;

@@ -45,7 +45,8 @@ class ExperimentFixture : public ::testing::Test {
   ExperimentFixture()
       : topo_(net::make_fat_tree(16)),
         rng_(3),
-        trace_(trace::generate_zipf_pairs(16, 6000, 1.0, rng_)) {
+        trace_(trace::materialize(*trace::stream_zipf_pairs(
+            16, 6000, 1.0, rng_))) {
     config_.distances = &topo_.distances;
     config_.alpha = 8;
     config_.checkpoints = 4;

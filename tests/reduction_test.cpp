@@ -11,7 +11,6 @@
 #include "core/r_bma.hpp"
 #include "net/topology.hpp"
 #include "trace/generators.hpp"
-#include "trace/stats.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -26,13 +25,16 @@ TEST(Reduction, SpecialCountMatchesKePerPair) {
   // exactly floor(n_e / ke) with ke = ceil(α/ℓe).
   const net::Topology topo = net::make_fat_tree(16);
   Xoshiro256 rng(5);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 20000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 20000, 1.1, rng));
   const std::uint64_t alpha = 12;
   RBma alg(make_instance(topo.distances, 3, alpha), {.seed = 2});
   for (const Request& r : t) alg.serve(r);
 
+  std::map<std::uint64_t, std::uint64_t> counts;
+  for (const Request& r : t) ++counts[pair_key(r)];
   std::uint64_t expected_specials = 0;
-  for (const auto& [key, count] : trace::pair_counts_sorted(t)) {
+  for (const auto& [key, count] : counts) {
     const std::uint64_t d = topo.distances(pair_lo(key), pair_hi(key));
     const std::uint64_t ke = (alpha + d - 1) / d;
     expected_specials += count / ke;
@@ -48,7 +50,8 @@ TEST(Reduction, ThresholdTableIsExactOnALine) {
   const net::Topology topo = net::make_line(12);
   ASSERT_EQ(topo.distances.max_distance(), 11u);
   Xoshiro256 rng(8);
-  const trace::Trace t = trace::generate_zipf_pairs(12, 20000, 0.9, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(12, 20000, 0.9, rng));
   std::vector<Request> all(t.size());
   t.gather(0, t.size(), all.data());
   for (const std::uint64_t alpha : {1u, 7u, 60u}) {
@@ -75,7 +78,8 @@ TEST(Reduction, UniformInstanceDegeneratesToIdentity) {
   // paging layer sees every request.
   const auto d = net::DistanceMatrix::uniform(8, 1);
   Xoshiro256 rng(6);
-  const trace::Trace t = trace::generate_uniform(8, 5000, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_uniform(8, 5000, rng));
   RBma alg(make_instance(d, 2, 1), {.seed = 2});
   for (const Request& r : t) alg.serve(r);
   EXPECT_EQ(alg.special_requests(), t.size());
@@ -106,7 +110,8 @@ TEST(Reduction, ReconfigurationCostProportionalToSpecials) {
   // <= 3 per special).  This is what makes inequality 1 of Theorem 1 sum.
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(7);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 30000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.2, rng));
   RBma alg(make_instance(topo.distances, 3, 15), {.seed = 3});
   for (const Request& r : t) alg.serve(r);
   const std::uint64_t ops =
@@ -120,7 +125,8 @@ TEST(Reduction, ReconfigurationCostProportionalToSpecials) {
 TEST(Reduction, LargerAlphaMeansFewerSpecialsAndReconfigs) {
   const net::Topology topo = net::make_fat_tree(20);
   Xoshiro256 rng(8);
-  const trace::Trace t = trace::generate_zipf_pairs(20, 30000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(20, 30000, 1.2, rng));
   std::uint64_t prev_specials = ~0ull;
   for (std::uint64_t alpha : {2ull, 8ull, 32ull, 128ull}) {
     RBma alg(make_instance(topo.distances, 3, alpha), {.seed = 4});

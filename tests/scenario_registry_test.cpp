@@ -28,7 +28,8 @@ using rdcn::testing::make_instance;
 TEST(AlgorithmRegistry, EveryEntryConstructsAndIsDeterministicUnderSeed) {
   const auto d = net::DistanceMatrix::uniform(16, 3);
   Xoshiro256 rng(7);
-  const trace::Trace t = trace::generate_zipf_pairs(16, 2'000, 1.1, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(16, 2'000, 1.1, rng));
   for (const std::string& name : AlgorithmRegistry::instance().names()) {
     SCOPED_TRACE(name);
     const core::Instance inst = make_instance(d, 2, 8);
@@ -103,38 +104,41 @@ TEST(WorkloadRegistry, CsvImportWithLimit) {
 
 TEST(WorkloadRegistry, MakeMatchesItsGeneratorWithDocumentedDefaults) {
   // The registry has one builder per workload; make() materializes it.
-  // Pin every entry against the trace layer's generate_* call with the
+  // Pin every entry against the trace layer's stream_* call with the
   // defaults its ParamDocs document, so a wrong generator, parameter
   // default or RNG hand-off in the wiring shows up here.
   constexpr std::size_t kRacks = 20, kRequests = 3'000;
   using Generate = std::function<trace::Trace(Xoshiro256&)>;
   const auto facebook = [](trace::FacebookCluster cluster) -> Generate {
     return [cluster](Xoshiro256& rng) {
-      return trace::generate_facebook_like(cluster, kRacks, kRequests, rng);
+      return trace::materialize(*trace::stream_facebook_like(
+          cluster, kRacks, kRequests, rng));
     };
   };
   const Generate round_robin = [](Xoshiro256&) {
-    return trace::generate_round_robin_star(kRacks, kRequests, /*k=*/8);
+    return trace::materialize(*trace::stream_round_robin_star(
+        kRacks, kRequests, /*k=*/8));
   };
   const std::map<std::string, Generate> generators = {
       {"uniform",
        [](Xoshiro256& rng) {
-         return trace::generate_uniform(kRacks, kRequests, rng);
+         return trace::materialize(*trace::stream_uniform(
+             kRacks, kRequests, rng));
        }},
       {"zipf",
        [](Xoshiro256& rng) {
-         return trace::generate_zipf_pairs(kRacks, kRequests, /*skew=*/1.0,
-                                           rng);
+         return trace::materialize(*trace::stream_zipf_pairs(
+             kRacks, kRequests, /*skew=*/1.0, rng));
        }},
       {"hotspot",
        [](Xoshiro256& rng) {
-         return trace::generate_hotspot(kRacks, kRequests,
-                                        /*hot_fraction=*/0.1,
-                                        /*hot_share=*/0.8, rng);
+         return trace::materialize(*trace::stream_hotspot(
+             kRacks, kRequests, /*hot_fraction=*/0.1, /*hot_share=*/0.8, rng));
        }},
       {"permutation",
        [](Xoshiro256& rng) {
-         return trace::generate_permutation(kRacks, kRequests, rng);
+         return trace::materialize(*trace::stream_permutation(
+             kRacks, kRequests, rng));
        }},
       {"flow_pool",
        [](Xoshiro256& rng) {
@@ -149,14 +153,14 @@ TEST(WorkloadRegistry, MakeMatchesItsGeneratorWithDocumentedDefaults) {
          p.hub_fraction = 0.0;
          p.hub_bias = 0.8;
          p.noise_fraction = 0.0;
-         return trace::generate_flow_pool(kRacks, kRequests, p, rng);
+         return trace::materialize(*trace::stream_flow_pool(
+             kRacks, kRequests, p, rng));
        }},
       {"elephant_mice",
        [](Xoshiro256& rng) {
-         return trace::generate_elephant_mice(kRacks, kRequests,
-                                              /*elephants=*/16,
-                                              /*share=*/0.7, /*run=*/40.0,
-                                              rng);
+         return trace::materialize(*trace::stream_elephant_mice(
+             kRacks, kRequests, /*elephants=*/16, /*share=*/0.7, /*run=*/40.0,
+             rng));
        }},
       {"round_robin_star", round_robin},
       {"round_robin", round_robin},
@@ -169,7 +173,8 @@ TEST(WorkloadRegistry, MakeMatchesItsGeneratorWithDocumentedDefaults) {
          p.rack_skew = 1.2;
          p.num_elephants = 25;
          p.elephant_boost = 30.0;
-         return trace::generate_microsoft_like(kRacks, kRequests, p, rng);
+         return trace::materialize(*trace::stream_microsoft_like(
+             kRacks, kRequests, p, rng));
        }},
   };
   const WorkloadRegistry& registry = WorkloadRegistry::instance();
@@ -258,7 +263,8 @@ TEST(Registries, UnknownParametersAreRejectedWithSuggestion) {
 TEST(Registries, AlgorithmParametersReachTheAlgorithm) {
   const auto d = net::DistanceMatrix::uniform(8, 4);
   Xoshiro256 rng(3);
-  const trace::Trace t = trace::generate_zipf_pairs(8, 3'000, 1.2, rng);
+  const trace::Trace t =
+      trace::materialize(*trace::stream_zipf_pairs(8, 3'000, 1.2, rng));
   const core::Instance inst = make_instance(d, 2, 6);
   // RBma::name() echoes engine and eviction mode — the parameters
   // observably reached the constructed algorithm.
