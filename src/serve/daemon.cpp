@@ -1,6 +1,7 @@
 #include "serve/daemon.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -27,10 +28,14 @@ namespace rdcn::serve {
 
 namespace {
 
-/// Reader-side line cap: a client streaming bytes without a newline is
-/// malformed (or malicious); past this the connection is refused instead
-/// of growing the buffer without bound.
+/// Line cap in both directions of a connection: a client streaming bytes
+/// without a newline is malformed (or malicious) and is refused past it;
+/// a client whose unsent replies pass it is not read until it catches up,
+/// which bounds what a non-reading client can make the daemon buffer.
 constexpr std::size_t kMaxLineBytes = 1u << 20;
+
+/// Bytes one read takes from a connection per loop turn.
+constexpr std::size_t kReadChunk = 16u << 10;
 
 /// CHECKPOINT lines retained per run for ATTACH replay.  An attacher that
 /// missed more than this sees a gap — the ring bounds daemon memory, the
@@ -40,15 +45,35 @@ constexpr std::size_t kCheckpointRing = 128;
 /// Terminal tasks retained for late ATTACH (state=done replay).
 constexpr std::size_t kRecentRuns = 256;
 
+/// The graceful drain's second wait: after the budget, cancelled
+/// stragglers get this long before the drain completes anyway.
+constexpr std::chrono::milliseconds kDrainStragglerBound{1000};
+
 /// Write end of the self-pipe, the only state a signal handler may touch.
 std::atomic<int> g_signal_pipe_wr{-1};
+
+/// Pipe byte the signal handler writes; wake() writes any other byte.
+constexpr char kSignalByte = 's';
 
 void drain_signal_handler(int) {
   const int fd = g_signal_pipe_wr.load(std::memory_order_relaxed);
   if (fd < 0) return;
-  const char byte = 's';
   // The pipe is non-blocking; a full pipe just coalesces signals.
-  [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
+  [[maybe_unused]] const ssize_t n = ::write(fd, &kSignalByte, 1);
+}
+
+/// Period of the loop tick that runs the progress monitor and lets the
+/// brownout level recover without admissions; 0 when neither is on.
+std::chrono::milliseconds tick_period(const ServeOptions& options) {
+  if (options.progress_timeout_ms > 0)
+    return std::chrono::milliseconds(
+        std::clamp<std::uint64_t>(options.progress_timeout_ms / 4, 10, 1000));
+  return std::chrono::milliseconds(options.max_rss_mb > 0 ? 250 : 0);
+}
+
+std::chrono::milliseconds dump_period(const ServeOptions& options) {
+  return std::chrono::milliseconds(
+      std::max<std::uint64_t>(1, options.metrics_dump_ms));
 }
 
 /// Builds the sockaddr for `path`; throws SpecError when it doesn't fit
@@ -77,64 +102,56 @@ void check_servable(const scenario::ScenarioSpec& spec) {
 
 }  // namespace
 
-/// One client socket.  The reader thread owns recv; any thread may write
-/// (executor progress lines interleave with command replies), serialized
-/// by write_mu so lines never shear.  A failed send marks the connection
-/// broken — future sends become no-ops and in-flight runs for this client
-/// get cancelled at their next checkpoint.
+/// One client socket.  The loop thread owns the fd, the input buffer and
+/// the bytes being written; any thread may queue output (executor progress
+/// lines interleave with command replies) as whole write units that the
+/// loop writes in order, so lines never shear.  Queuing makes no syscall.
+/// A broken connection takes no more units, and in-flight runs for this
+/// client get cancelled at their next checkpoint.
 struct Daemon::Connection {
   explicit Connection(int fd_in) : fd(fd_in) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
 
   void send_line(const std::string& line) { send_raw(line + "\n"); }
 
-  /// One atomic write unit: concurrent writers (command replies, other
-  /// runs' progress lines) can't interleave inside it.  Fault points
-  /// simulate a slow consumer (stall), a peer disconnect (drop), and a
-  /// torn send (short_write) — the latter two leave the connection broken
-  /// exactly like the real failures they stand in for.
-  void send_raw(const std::string& bytes) {
-    const std::lock_guard<std::mutex> lock(write_mu);
+  /// Queues one write unit: no other unit can land inside it.
+  void send_raw(std::string bytes) {
+    const std::lock_guard<std::mutex> lock(out_mu);
     if (broken.load(std::memory_order_relaxed)) return;
-    if (fault::fire("serve.send.stall"))
-      std::this_thread::sleep_for(std::chrono::milliseconds(250));
-    if (fault::fire("serve.send.drop")) {
-      broken.store(true, std::memory_order_relaxed);
-      shutdown_socket();
-      return;
-    }
-    std::size_t limit = bytes.size();
-    if (fault::fire("serve.send.short_write") && limit > 1) limit /= 2;
-    std::size_t sent = 0;
-    while (sent < limit) {
-      const ssize_t n = ::send(fd, bytes.data() + sent, limit - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        broken.store(true, std::memory_order_relaxed);
-        return;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-    if (limit < bytes.size()) {
-      // Injected short write: line framing on this socket is gone for
-      // good, so the connection is broken from here on.
-      broken.store(true, std::memory_order_relaxed);
-      shutdown_socket();
+    queued_bytes += bytes.size();
+    queued.push_back(std::move(bytes));
+  }
+
+  /// Takes no units after those already queued; the loop closes the
+  /// connection once they are written (BYE, line_too_long).  `discard`
+  /// drops the queued ones too.
+  void hang_up(bool discard) {
+    const std::lock_guard<std::mutex> lock(out_mu);
+    broken.store(true, std::memory_order_relaxed);
+    if (discard) {
+      queued.clear();
+      queued_bytes = 0;
     }
   }
 
-  /// Wakes a reader blocked in recv (used by stop()).
-  void shutdown_socket() { ::shutdown(fd, SHUT_RDWR); }
+  /// Bytes accepted for this client but not yet written (loop only).
+  std::size_t unsent() {
+    const std::lock_guard<std::mutex> lock(out_mu);
+    return queued_bytes + (out.size() - out_off);
+  }
 
-  const int fd;
-  std::mutex write_mu;
+  std::mutex out_mu;
+  std::vector<std::string> queued;  ///< units waiting for the loop (out_mu)
+  std::size_t queued_bytes = 0;     ///< their total size (out_mu)
   std::atomic<bool> broken{false};
+
+  // Loop thread only.
+  const int fd;
+  std::string in;           ///< received bytes not yet handled
+  std::size_t scanned = 0;  ///< prefix of `in` known to hold no newline
+  std::string out;          ///< units taken from `queued`, being written
+  std::size_t out_off = 0;  ///< bytes of `out` already written
   /// HELLO binding: later RUNs on this connection charge this client's
-  /// quota and fairness lane ("" = anonymous).  Only the connection's own
-  /// reader thread touches it (HELLO and RUN share that thread).
+  /// quota and fairness lane ("" = anonymous).
   std::string client;
 };
 
@@ -146,12 +163,12 @@ struct Daemon::RunTask {
   scenario::ScenarioSpec spec;
   std::string canonical;
   CancelToken cancel = CancelToken::make();
-  /// Set by the watchdog before firing `cancel`, so the terminal DONE
-  /// distinguishes deadline_exceeded from a client CANCEL.
+  /// Set by the loop's deadline timer before firing `cancel`, so the
+  /// terminal DONE distinguishes deadline_exceeded from a client CANCEL.
   std::atomic<bool> deadline_fired{false};
   std::atomic<bool> started{false};  ///< an executor picked it up
-  /// Set by the progress watchdog before firing `cancel` (takes priority
-  /// over deadline_fired in the terminal decision).
+  /// Set by the loop's progress tick before firing `cancel` (takes
+  /// priority over deadline_fired in the terminal decision).
   std::atomic<bool> stalled_fired{false};
   /// Re-enqueued from the journal after a restart: has no submitter, so
   /// an empty subscriber list must not auto-cancel it.
@@ -161,7 +178,7 @@ struct Daemon::RunTask {
   int priority = 1;               ///< shed order under brownout (0-2)
   std::uint64_t cost = 1;         ///< estimated cost units (DRR charge)
   /// Last time this run demonstrated progress (pickup or a checkpoint);
-  /// the progress watchdog cancels a run whose value goes stale.
+  /// the progress tick cancels a run whose value goes stale.
   std::atomic<std::uint64_t> last_progress_ns{0};
 
   /// One stream consumer.  `from` filters live/replayed CHECKPOINTs (an
@@ -173,7 +190,8 @@ struct Daemon::RunTask {
     std::uint64_t from = 1;
   };
   /// Subscriber/checkpoint state.  Lock order: mu_ may be held when
-  /// taking sub_mu, NEVER the reverse.
+  /// taking sub_mu, NEVER the reverse; a Connection's out_mu nests inside
+  /// both.
   std::mutex sub_mu;
   std::vector<Subscriber> subscribers;  ///< cleared at the terminal line
   /// Last kCheckpointRing CHECKPOINT lines by seq, for ATTACH replay.
@@ -182,20 +200,33 @@ struct Daemon::RunTask {
   std::string terminal_status;  ///< "" until terminal; then ok|...|error
 };
 
+namespace {
+
+obs::Counter& runs_total(obs::Registry& r, const char* status) {
+  return r.counter("rdcn_serve_runs_total", "Runs by terminal status",
+                   {{"status", status}});
+}
+
+obs::Histogram& queue_wait(obs::Registry& r, const char* priority) {
+  return r.latency_histogram("rdcn_serve_queue_wait_seconds",
+                             "Admission-to-pickup queue latency by priority",
+                             {{"priority", priority}});
+}
+
+obs::Histogram& run_seconds(obs::Registry& r, const char* status) {
+  return r.latency_histogram("rdcn_serve_run_seconds",
+                             "Executor run latency by terminal status",
+                             {{"status", status}});
+}
+
+}  // namespace
+
 Daemon::Metrics::Metrics(obs::Registry& r)
-    : runs_ok(r.counter("rdcn_serve_runs_total", "Runs by terminal status",
-                        {{"status", "ok"}})),
-      runs_cancelled(r.counter("rdcn_serve_runs_total",
-                               "Runs by terminal status",
-                               {{"status", "cancelled"}})),
-      runs_deadline(r.counter("rdcn_serve_runs_total",
-                              "Runs by terminal status",
-                              {{"status", "deadline_exceeded"}})),
-      runs_stalled(r.counter("rdcn_serve_runs_total",
-                             "Runs by terminal status",
-                             {{"status", "stalled"}})),
-      runs_error(r.counter("rdcn_serve_runs_total", "Runs by terminal status",
-                           {{"status", "error"}})),
+    : runs_ok(runs_total(r, "ok")),
+      runs_cancelled(runs_total(r, "cancelled")),
+      runs_deadline(runs_total(r, "deadline_exceeded")),
+      runs_stalled(runs_total(r, "stalled")),
+      runs_error(runs_total(r, "error")),
       crashes(r.counter("rdcn_serve_crashes_total",
                         "Executor crashes (non-SpecError escapes)")),
       rejected(r.counter("rdcn_serve_rejected_total",
@@ -217,36 +248,14 @@ Daemon::Metrics::Metrics(obs::Registry& r)
       admission_wait(r.latency_histogram(
           "rdcn_serve_admission_wait_seconds",
           "Admission-to-executor-pickup queue latency")),
-      queue_wait_p0(r.latency_histogram(
-          "rdcn_serve_queue_wait_seconds",
-          "Admission-to-pickup queue latency by priority",
-          {{"priority", "0"}})),
-      queue_wait_p1(r.latency_histogram(
-          "rdcn_serve_queue_wait_seconds",
-          "Admission-to-pickup queue latency by priority",
-          {{"priority", "1"}})),
-      queue_wait_p2(r.latency_histogram(
-          "rdcn_serve_queue_wait_seconds",
-          "Admission-to-pickup queue latency by priority",
-          {{"priority", "2"}})),
-      run_ok(r.latency_histogram("rdcn_serve_run_seconds",
-                                 "Executor run latency by terminal status",
-                                 {{"status", "ok"}})),
-      run_cancelled(r.latency_histogram(
-          "rdcn_serve_run_seconds",
-          "Executor run latency by terminal status",
-          {{"status", "cancelled"}})),
-      run_deadline(r.latency_histogram(
-          "rdcn_serve_run_seconds",
-          "Executor run latency by terminal status",
-          {{"status", "deadline_exceeded"}})),
-      run_stalled(r.latency_histogram(
-          "rdcn_serve_run_seconds",
-          "Executor run latency by terminal status",
-          {{"status", "stalled"}})),
-      run_error(r.latency_histogram("rdcn_serve_run_seconds",
-                                    "Executor run latency by terminal status",
-                                    {{"status", "error"}})),
+      queue_wait_p0(queue_wait(r, "0")),
+      queue_wait_p1(queue_wait(r, "1")),
+      queue_wait_p2(queue_wait(r, "2")),
+      run_ok(run_seconds(r, "ok")),
+      run_cancelled(run_seconds(r, "cancelled")),
+      run_deadline(run_seconds(r, "deadline_exceeded")),
+      run_stalled(run_seconds(r, "stalled")),
+      run_error(run_seconds(r, "error")),
       drain_seconds(r.latency_histogram("rdcn_serve_drain_seconds",
                                         "Graceful-drain duration")) {}
 
@@ -271,8 +280,8 @@ void Daemon::start() {
   // family, zeros included.
   obs::install_fault_observer();
   for (const char* point :
-       {"serve.send.short_write", "serve.send.drop", "serve.send.stall",
-        "serve.admit.reject", "serve.executor.crash", "serve.executor.stall",
+       {"serve.send.short_write", "serve.send.drop", "serve.admit.reject",
+        "serve.executor.crash", "serve.executor.stall",
         "serve.disk_cache.torn_write", "serve.disk_cache.write_fail"}) {
     obs::Registry::global().counter(
         "rdcn_fault_fires_total",
@@ -333,42 +342,35 @@ void Daemon::start() {
     m_.recovered.inc();
   }
   const sockaddr_un addr = make_address(options_.socket_path);
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0)
-    throw SpecError(std::string("socket() failed: ") + std::strerror(errno));
+  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   ::unlink(options_.socket_path.c_str());  // replace a stale socket file
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
+  // Both pipe ends are non-blocking: the signal handler and wake() must
+  // never block, and the loop reads until the pipe is empty.
+  if (listen_fd_ < 0 ||
+      ::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
+      ::listen(listen_fd_, 16) != 0 ||
+      ::pipe2(wake_pipe_, O_NONBLOCK | O_CLOEXEC) != 0) {
     const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
     listen_fd_ = -1;
     throw SpecError("cannot listen on '" + options_.socket_path +
                     "': " + why);
   }
   if (options_.handle_signals) {
-    if (::pipe(signal_pipe_) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      throw SpecError("cannot create signal pipe: " + why);
-    }
-    // Non-blocking write end: the handler must never block; a full pipe
-    // just coalesces repeated signals into the one pending drain.
-    ::fcntl(signal_pipe_[1], F_SETFL, O_NONBLOCK);
-    g_signal_pipe_wr.store(signal_pipe_[1], std::memory_order_relaxed);
+    g_signal_pipe_wr.store(wake_pipe_[1], std::memory_order_relaxed);
     struct sigaction sa {};
     sa.sa_handler = &drain_signal_handler;
     ::sigemptyset(&sa.sa_mask);
     ::sigaction(SIGTERM, &sa, &old_term_);
     ::sigaction(SIGINT, &sa, &old_int_);
-    signal_thread_ = std::thread(&Daemon::signal_loop, this);
   }
-  started_ = true;
-  accept_thread_ = std::thread(&Daemon::accept_loop, this);
-  watchdog_thread_ = std::thread(&Daemon::watchdog_loop, this);
+  if (tick_period(options_).count() > 0)
+    arm(Timer::Kind::kTick, tick_period(options_));
   if (!options_.metrics_dump_path.empty())
-    metrics_thread_ = std::thread(&Daemon::metrics_dump_loop, this);
+    arm(Timer::Kind::kDump, dump_period(options_));
+  started_ = true;
+  loop_thread_ = std::thread(&Daemon::loop, this);
   for (std::size_t i = 0; i < options_.executors; ++i)
     executors_.emplace_back(&Daemon::executor_loop, this);
 }
@@ -379,46 +381,26 @@ void Daemon::stop() {
     cv_shutdown_.notify_all();
     return;
   }
-  // Unblock accept(), then every blocked reader, executor, and the
-  // watchdog; cancel all queued/running work so executors drain fast.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  std::vector<std::shared_ptr<Connection>> conns;
+  // Cancel all queued/running work so executors drain fast, then let the
+  // loop see stopping_: it closes every connection on its way out.
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (auto& [id, task] : active_) task->cancel.request_cancel();
-    conns = conns_;
   }
-  for (auto& conn : conns) conn->shutdown_socket();
   cv_exec_.notify_all();
-  cv_deadline_.notify_all();
-  cv_metrics_.notify_all();
-  cv_drain_.notify_all();
-  accept_thread_.join();
-  watchdog_thread_.join();
-  if (metrics_thread_.joinable()) metrics_thread_.join();
-  // accept_loop has exited, so conn_threads_ is final now.
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto& conn : conns_) conn->shutdown_socket();
-  }
-  for (std::thread& t : conn_threads_) t.join();
+  wake();
+  loop_thread_.join();
   for (std::thread& t : executors_) t.join();
-  if (signal_thread_.joinable()) {
-    // Restore dispositions first so a signal during teardown behaves
-    // default; then tell the loop to exit via its own pipe.
+  if (options_.handle_signals) {
+    // Restore dispositions before the pipe goes away.
     g_signal_pipe_wr.store(-1, std::memory_order_relaxed);
     ::sigaction(SIGTERM, &old_term_, nullptr);
     ::sigaction(SIGINT, &old_int_, nullptr);
-    const char byte = 'q';
-    [[maybe_unused]] const ssize_t n = ::write(signal_pipe_[1], &byte, 1);
-    signal_thread_.join();
-    ::close(signal_pipe_[0]);
-    ::close(signal_pipe_[1]);
-    signal_pipe_[0] = signal_pipe_[1] = -1;
   }
-  // Reader and signal threads are joined, so nobody can start a new
-  // drain; an in-flight drain_loop exits promptly on stopping_.
-  if (drain_thread_.joinable()) drain_thread_.join();
+  ::close(wake_pipe_[0]);
+  ::close(wake_pipe_[1]);
+  // Final snapshot so short runs aren't lost.
+  if (!options_.metrics_dump_path.empty()) write_metrics_dump();
   journal_.flush();
   ::close(listen_fd_);
   listen_fd_ = -1;
@@ -527,53 +509,29 @@ void Daemon::write_metrics_dump() const {
               << options_.metrics_dump_path << "\n";
 }
 
-void Daemon::metrics_dump_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    cv_metrics_.wait_for(
-        lock, std::chrono::milliseconds(
-                  std::max<std::uint64_t>(1, options_.metrics_dump_ms)));
-    lock.unlock();
-    write_metrics_dump();  // rendering takes registry mutexes, not mu_
-    lock.lock();
-  }
-  lock.unlock();
-  write_metrics_dump();  // final snapshot so short runs aren't lost
+void Daemon::wake() {
+  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
+  const char byte = 'w';
+  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
 
-void Daemon::signal_loop() {
-  char byte = 0;
-  while (true) {
-    const ssize_t n = ::read(signal_pipe_[0], &byte, 1);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0 || byte == 'q') return;  // stop() says goodbye
-    begin_drain();
-  }
+void Daemon::arm(Timer::Kind kind, std::chrono::milliseconds in,
+                 std::weak_ptr<RunTask> task) {
+  timers_.push({monotonic_now() + in, kind, std::move(task)});
 }
 
 void Daemon::begin_drain() {
-  if (drain_requested_.exchange(true)) return;  // one drain per lifetime
-  const std::lock_guard<std::mutex> lock(mu_);
+  if (draining_) return;  // one drain per lifetime
   draining_ = true;
-  drain_thread_ = std::thread(&Daemon::drain_loop, this);
+  drain_begin_ns_ = monotonic_now_ns();
+  arm(Timer::Kind::kDrainBudget, std::chrono::milliseconds(options_.drain_ms));
 }
 
-void Daemon::drain_loop() {
-  const std::uint64_t begin_ns = monotonic_now_ns();
-  const auto idle = [&] { return active_.empty() || stopping_.load(); };
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_drain_.wait_for(lock, std::chrono::milliseconds(options_.drain_ms),
-                       idle);
-    // Budget spent: stragglers get a cooperative cancel, then a bounded
-    // second wait — a wedged run (or executors=0) must not hold the
-    // shutdown hostage forever.
-    for (auto& [id, task] : active_) task->cancel.request_cancel();
-    cv_exec_.notify_all();
-    cv_drain_.wait_for(lock, std::chrono::milliseconds(1000), idle);
-  }
+void Daemon::finish_drain() {
+  if (drained_) return;
+  drained_ = true;
   journal_.flush();
-  m_.drain_seconds.observe_ns(monotonic_now_ns() - begin_ns);
+  m_.drain_seconds.observe_ns(monotonic_now_ns() - drain_begin_ns_);
   {
     const std::lock_guard<std::mutex> lock(mu_);
     shutdown_requested_ = true;
@@ -581,105 +539,249 @@ void Daemon::drain_loop() {
   cv_shutdown_.notify_all();
 }
 
-void Daemon::accept_loop() {
+void Daemon::run_due_timers() {
+  while (!timers_.empty() && timers_.top().when <= monotonic_now()) {
+    const Timer timer = timers_.top();
+    timers_.pop();
+    switch (timer.kind) {
+      case Timer::Kind::kDeadline:
+        if (const std::shared_ptr<RunTask> task = timer.task.lock()) {
+          // Mark before firing so the executor's CancelledError handler
+          // reads the right reason.  Firing after completion is harmless —
+          // the token is dead weight once DONE is out.
+          task->deadline_fired.store(true, std::memory_order_release);
+          task->cancel.request_cancel();
+        }
+        break;
+      case Timer::Kind::kTick: {
+        // Re-evaluate brownout so the level *recovers* even when no
+        // admission arrives, and cancel running tasks whose checkpoint
+        // stream went quiet.
+        const std::lock_guard<std::mutex> lock(mu_);
+        update_brownout_locked();
+        const std::uint64_t budget_ns =
+            options_.progress_timeout_ms * 1'000'000ull;
+        for (auto& [id, task] : active_) {
+          const std::uint64_t last =
+              task->last_progress_ns.load(std::memory_order_relaxed);
+          if (budget_ns == 0 || !task->started.load(std::memory_order_acquire) ||
+              last == 0 || monotonic_now_ns() - last <= budget_ns)
+            continue;
+          // Mark-then-fire, like the deadline path.  exchange() makes the
+          // stall fire once even if the run lingers across several ticks.
+          if (!task->stalled_fired.exchange(true, std::memory_order_acq_rel))
+            task->cancel.request_cancel();
+        }
+        arm(Timer::Kind::kTick, tick_period(options_));
+        break;
+      }
+      case Timer::Kind::kDrainBudget: {
+        if (drained_) break;
+        // Budget spent: stragglers get a cooperative cancel, then a
+        // bounded second wait — a wedged run (or executors=0) must not
+        // hold the shutdown hostage forever.
+        const std::lock_guard<std::mutex> lock(mu_);
+        for (auto& [id, task] : active_) task->cancel.request_cancel();
+        arm(Timer::Kind::kDrainBound, kDrainStragglerBound);
+        break;
+      }
+      case Timer::Kind::kDrainBound:
+        finish_drain();
+        break;
+      case Timer::Kind::kDump:
+        write_metrics_dump();  // rendering takes registry mutexes, not mu_
+        arm(Timer::Kind::kDump, dump_period(options_));
+        break;
+    }
+  }
+}
+
+void Daemon::loop() {
+  std::vector<pollfd> fds;
+  std::vector<std::shared_ptr<Connection>> polled;
+  while (!stopping_.load()) {
+    run_due_timers();
+    // Handle buffered lines and write what is queued on every connection
+    // (executors queue output between turns); close the finished ones.
+    polled = conns_;
+    for (const auto& conn : polled)
+      if (!serve_lines(conn)) close_connection(conn);
+    if (draining_ && [&] {
+          const std::lock_guard<std::mutex> lock(mu_);
+          return active_.empty();
+        }())
+      finish_drain();
+    fds.assign({{wake_pipe_[0], POLLIN, 0},
+                {accept_paused_ ? -1 : listen_fd_, POLLIN, 0}});
+    polled = conns_;
+    for (const auto& conn : polled) {
+      // A connection whose client lets replies pile up is not read until
+      // it catches up.
+      const bool read = !conn->broken.load(std::memory_order_relaxed) &&
+                        conn->unsent() <= kMaxLineBytes;
+      const bool write = conn->out_off < conn->out.size();
+      fds.push_back({conn->fd,
+                     static_cast<short>((read ? POLLIN : 0) |
+                                        (write ? POLLOUT : 0)),
+                     0});
+    }
+    const int timeout_ms =
+        timers_.empty()
+            ? -1
+            : static_cast<int>(std::clamp<std::int64_t>(
+                  std::chrono::ceil<std::chrono::milliseconds>(
+                      timers_.top().when - monotonic_now())
+                      .count(),
+                  0, 60'000));
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) continue;  // EINTR
+
+    if (fds[0].revents != 0) {
+      char bytes[64];
+      ssize_t n;
+      while ((n = ::read(wake_pipe_[0], bytes, sizeof(bytes))) > 0)
+        if (std::memchr(bytes, kSignalByte, static_cast<std::size_t>(n)))
+          begin_drain();
+      // Cleared only once the pipe is empty: a wake() that still sees the
+      // flag set is served by the next turn's flush, and one that sets it
+      // again writes a byte the next poll() sees.
+      wake_pending_.exchange(false, std::memory_order_acq_rel);
+    }
+    if (fds[1].revents != 0) accept_connections();
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      const pollfd& p = fds[i + 2];
+      Connection& conn = *polled[i];
+      bool open = (p.revents & (POLLHUP | POLLERR)) == 0;
+      if ((p.events & POLLIN) != 0 && (p.revents & ~POLLOUT) != 0) {
+        // One read per turn keeps connections fair; buffered lines are
+        // handled at the top of the next turn.  EOF or an error ends it.
+        char chunk[kReadChunk];
+        const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
+        if (n > 0) conn.in.append(chunk, static_cast<std::size_t>(n));
+        open = n > 0 || (n < 0 && (errno == EINTR || errno == EAGAIN));
+      }
+      if (!open) close_connection(polled[i]);
+    }
+  }
+  while (!conns_.empty()) close_connection(conns_.back());
+}
+
+void Daemon::accept_connections() {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_ || errno != EINTR) return;
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      conns_.push_back(std::make_shared<Connection>(fd));
+    } else if (errno != EINTR && errno != ECONNABORTED) {
+      // Out of fds: leave the listener out of poll() until a connection
+      // closes, instead of spinning on it.
+      accept_paused_ = errno != EAGAIN && errno != EWOULDBLOCK;
+      return;
+    }
+  }
+}
+
+bool Daemon::serve_lines(const std::shared_ptr<Connection>& conn) {
+  Connection& c = *conn;
+  std::size_t head = 0;  ///< start of the first unhandled line
+  std::size_t nl = 0;
+  bool open;
+  while ((open = flush(c)) && !c.broken.load(std::memory_order_relaxed) &&
+         c.unsent() <= kMaxLineBytes &&
+         (nl = c.in.find('\n', std::max(head, c.scanned))) !=
+             std::string::npos) {
+    std::string line = c.in.substr(head, nl - head);
+    head = nl + 1;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty()) handle_command(conn, line);
+  }
+  c.in.erase(0, head);
+  c.scanned = nl == std::string::npos ? c.in.size() : 0;
+  if (open && c.scanned > kMaxLineBytes) {
+    // A newline-free stream past the cap: refuse and hang up rather than
+    // buffering without limit.
+    c.send_line(msg_error("reason=line_too_long limit_bytes=" +
+                          std::to_string(kMaxLineBytes)));
+    c.hang_up(/*discard=*/false);
+    c.in.clear();
+    open = flush(c);
+  }
+  return open;
+}
+
+bool Daemon::flush(Connection& c) {
+  while (true) {
+    if (c.out_off == c.out.size()) {
+      c.out.clear();
+      c.out_off = 0;
+      std::vector<std::string> units;
+      {
+        const std::lock_guard<std::mutex> lock(c.out_mu);
+        units.swap(c.queued);
+        c.queued_bytes = 0;
+      }
+      // Everything written: a hung-up connection is finished.
+      if (units.empty()) return !c.broken.load(std::memory_order_relaxed);
+      for (std::string& unit : units) {
+        // Fault points stand in for a peer disconnect (drop) and a torn
+        // send (short_write): either way line framing on this socket is
+        // gone, so what came before is written and nothing after it.
+        const bool drop = fault::fire("serve.send.drop");
+        const bool torn = !drop && fault::fire("serve.send.short_write") &&
+                          unit.size() > 1;
+        if (torn) c.out.append(unit, 0, unit.size() / 2);
+        if (drop || torn) {
+          c.hang_up(/*discard=*/true);
+          break;
+        }
+        if (c.out.empty())
+          c.out.swap(unit);  // a lone payload is not copied
+        else
+          c.out += unit;
+      }
       continue;
     }
-    // Bounded recv timeout so readers notice stopping_ even if their
-    // socket shutdown races with thread startup.
-    timeval tv{};
-    tv.tv_usec = 200 * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    auto conn = std::make_shared<Connection>(fd);
+    const ssize_t n = ::send(c.fd, c.out.data() + c.out_off,
+                             c.out.size() - c.out_off, MSG_NOSIGNAL);
+    if (n < 0) return errno == EINTR || errno == EAGAIN;
+    c.out_off += static_cast<std::size_t>(n);
+  }
+}
+
+void Daemon::close_connection(const std::shared_ptr<Connection>& conn) {
+  conn->hang_up(/*discard=*/true);
+  // Unsubscribe this client everywhere.  A run left subscriber-less is
+  // cancelled to free its executor — unless a journal is armed (the run
+  // is durable and re-attachable: it finishes and its result lands in the
+  // caches) or the run was recovered (it never had a submitter to lose).
+  {
     const std::lock_guard<std::mutex> lock(mu_);
-    reap_finished_readers_locked();
-    conns_.push_back(conn);
-    // The reader drops its own reference before idling unjoined, so the
-    // client's fd closes as soon as the last in-flight run lets go — not
-    // at the next accept (when the thread object is reaped).
-    conn_threads_.emplace_back([this, c = std::move(conn)]() mutable {
-      const std::shared_ptr<Connection> local = std::move(c);
-      connection_loop(local);
-    });
-  }
-}
-
-void Daemon::connection_loop(const std::shared_ptr<Connection>& conn) {
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !stopping_) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      break;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t pos;
-    while (open && (pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) open = handle_command(conn, line);
-    }
-    if (open && buffer.size() > kMaxLineBytes) {
-      // A newline-free stream past the cap: refuse and hang up rather
-      // than buffering without limit.
-      conn->send_line(msg_error("reason=line_too_long limit_bytes=" +
-                                std::to_string(kMaxLineBytes)));
-      break;
+    for (auto& [id, task] : active_) {
+      const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
+      std::erase_if(task->subscribers, [&](const RunTask::Subscriber& s) {
+        return s.conn == conn;
+      });
+      if (task->subscribers.empty() && !task->recovered && !journal_.enabled())
+        task->cancel.request_cancel();
     }
   }
-  conn->broken.store(true, std::memory_order_relaxed);
-  conn->shutdown_socket();
-  // Unsubscribe this client everywhere, drop the daemon's reference to
-  // the connection (the fd closes once the last in-flight task lets go),
-  // and queue this thread for reaping so a long-lived daemon doesn't
-  // accumulate dead readers.  A run left subscriber-less is cancelled to
-  // free its executor — unless a journal is armed (the run is durable and
-  // re-attachable: it finishes and its result lands in the caches) or the
-  // run was recovered (it never had a submitter to lose).
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, task] : active_) {
-    const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
-    std::erase_if(task->subscribers,
-                  [&](const RunTask::Subscriber& s) { return s.conn == conn; });
-    if (task->subscribers.empty() && !task->recovered && !journal_.enabled())
-      task->cancel.request_cancel();
-  }
+  ::close(conn->fd);
   std::erase(conns_, conn);
-  finished_readers_.push_back(std::this_thread::get_id());
+  accept_paused_ = false;
 }
 
-void Daemon::reap_finished_readers_locked() {
-  for (const std::thread::id id : finished_readers_) {
-    for (auto it = conn_threads_.begin(); it != conn_threads_.end(); ++it) {
-      if (it->get_id() != id) continue;
-      it->join();  // the thread already reached its final statement
-      conn_threads_.erase(it);
-      break;
-    }
-  }
-  finished_readers_.clear();
-}
-
-bool Daemon::handle_command(const std::shared_ptr<Connection>& conn,
+void Daemon::handle_command(const std::shared_ptr<Connection>& conn,
                             const std::string& line) {
   const Command cmd = parse_command(line);
   switch (cmd.kind) {
     case Command::Kind::kPing:
       conn->send_line(msg_pong());
-      return true;
+      return;
     case Command::Kind::kHello:
       // Rebinding mid-connection is allowed (a proxy serving several
       // tenants reuses one socket); only later RUNs are affected.
       conn->client = cmd.client;
       conn->send_line(msg_welcome(cmd.client));
-      return true;
+      return;
     case Command::Kind::kReset: {
       // Operator verb: clear quarantine/crash-streak state without a
       // restart.  Journalled (streak 0) so a crash right after the RESET
@@ -702,11 +804,11 @@ bool Daemon::handle_command(const std::shared_ptr<Connection>& conn,
         }
       }
       conn->send_line(msg_resetok(cleared));
-      return true;
+      return;
     }
     case Command::Kind::kRun:
       handle_run(conn, cmd);
-      return true;
+      return;
     case Command::Kind::kCancel: {
       CancelToken token;
       {
@@ -719,51 +821,49 @@ bool Daemon::handle_command(const std::shared_ptr<Connection>& conn,
                                   std::to_string(cmd.id)));
       } else {
         // Ack BEFORE firing the token: the executor's DONE is a
-        // consequence of the cancel, so sending the ack first keeps
+        // consequence of the cancel, so queuing the ack first keeps
         // CANCELLING-before-DONE ordering on the wire (collect() consumes
         // the ack; a DONE that overtook it would leave the ack behind to
         // poison the next command's reply).
         conn->send_line(msg_cancelling(cmd.id));
         token.request_cancel();
       }
-      return true;
+      return;
     }
     case Command::Kind::kAttach:
       handle_attach(conn, cmd);
-      return true;
+      return;
     case Command::Kind::kStats:
       conn->send_line(msg_stats(stats_report()));
-      return true;
+      return;
     case Command::Kind::kMetrics: {
       // Header + exposition travel as one write unit (like RESULT) so no
       // other run's lines can land inside the payload.
       const std::string text = metrics_text();
-      std::size_t lines = 0;
-      for (const char c : text)
-        if (c == '\n') ++lines;
-      conn->send_raw(msg_metrics(lines) + "\n" + text);
-      return true;
+      conn->send_raw(msg_metrics(std::count(text.begin(), text.end(), '\n')) +
+                     "\n" + text);
+      return;
     }
     case Command::Kind::kShutdown: {
       conn->send_line(msg_bye());
+      conn->hang_up(/*discard=*/false);
       if (cmd.drain) {
-        // Graceful: the drain thread flips shutdown_requested_ once
-        // in-flight runs finished (or the drain budget expired).
+        // Graceful: the loop raises shutdown_requested_ once in-flight
+        // runs finished (or the drain budget expired).
         begin_drain();
-        return false;
+        return;
       }
       {
         const std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
       }
       cv_shutdown_.notify_all();
-      return false;
+      return;
     }
     case Command::Kind::kInvalid:
       conn->send_line(msg_error(cmd.error));
-      return true;
+      return;
   }
-  return true;
 }
 
 void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
@@ -792,8 +892,7 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
                              : !conn->client.empty() ? conn->client
                                                      : "anon";
 
-  // Quarantine: a spec that keeps crashing executors is fast-failed at
-  // admission instead of being given another executor to wedge.
+  std::uint64_t id;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
@@ -802,6 +901,8 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
       conn->send_line(msg_error("reason=draining daemon is shutting down"));
       return;
     }
+    // Quarantine: a spec that keeps crashing executors is fast-failed at
+    // admission instead of being given another executor to wedge.
     const auto it = crash_streaks_.find(canonical);
     if (options_.quarantine_threshold > 0 && it != crash_streaks_.end()) {
       // TTL aging: a streak untouched for quarantine_ttl_s no longer
@@ -821,42 +922,21 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
         return;
       }
     }
-  }
-
-  // Injected admission failure: exercises the client's REJECT/backoff
-  // path without actually filling the queue.
-  if (fault::fire("serve.admit.reject")) {
-    std::uint32_t retry = options_.retry_hint_ms;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
+    // Injected admission failure: exercises the client's REJECT/backoff
+    // path without actually filling the queue.
+    if (fault::fire("serve.admit.reject")) {
       m_.rejected.inc();
       client_state_locked(client).rejected.inc();
-      retry = reject_retry_ms_locked();
+      conn->send_line(msg_reject(reject_retry_ms_locked()));
+      return;
     }
-    conn->send_line(msg_reject(retry));
-    return;
-  }
-
-  std::uint64_t id;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
     id = next_id_++;
   }
 
   // A cache hit bypasses admission entirely — replaying stored bytes is
-  // cheap, so cached runs are never rejected for backpressure.  The
-  // in-memory LRU is consulted first, then the persistent store (which a
-  // restarted daemon repopulates the LRU from).
-  std::optional<std::string> payload = cache_.get(canonical);
-  if (!payload) {
-    payload = disk_cache_.get(canonical);
-    if (payload) cache_.put(canonical, *payload);
-  }
-  if (payload) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      m_.runs_ok.inc();
-    }
+  // cheap, so cached runs are never rejected for backpressure.
+  if (const std::optional<std::string> payload = cached_payload(canonical)) {
+    m_.runs_ok.inc();
     conn->send_line(msg_accepted(id));
     send_payload(*conn, id, /*cached=*/true, *payload);
     conn->send_line(msg_done(id, "ok"));
@@ -872,36 +952,28 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
   task->cost = cost;
   task->subscribers.push_back({conn, /*from=*/1});  // unpublished: no lock
   {
-    // ACCEPTED goes out under mu_ so no executor can emit this run's
-    // CHECKPOINT lines first (they'd need the queue entry, which doesn't
-    // exist yet).  The write is a few bytes to a local socket.
+    // ACCEPTED is queued before the run enters queue_, so no executor can
+    // queue this run's CHECKPOINT lines ahead of it.
     const std::lock_guard<std::mutex> lock(mu_);
     ClientState& cs = client_state_locked(client);
-    if (queue_.size() >= options_.queue_limit) {
+    const auto reject = [&](std::uint32_t retry_ms, const char* reason) {
       m_.rejected.inc();
       cs.rejected.inc();
-      conn->send_line(msg_reject(reject_retry_ms_locked()));
-      return;
-    }
+      conn->send_line(msg_reject(retry_ms, reason));
+    };
+    if (queue_.size() >= options_.queue_limit)
+      return reject(reject_retry_ms_locked(), "queue_full");
     // Per-client caps next: the concurrent-run quota (queued + running
     // charged at admission, released at the terminal) and the admission
     // token bucket.  Both refuse with reason=quota and an honest hint —
     // the drain rate for a full pipeline, the refill time for an empty
     // bucket.
     const QuotaSpec& quota = quotas_.lookup(client);
-    if (quota.concurrent > 0 && cs.inflight >= quota.concurrent) {
-      m_.rejected.inc();
-      cs.rejected.inc();
-      conn->send_line(msg_reject(reject_retry_ms_locked(), "quota"));
-      return;
-    }
+    if (quota.concurrent > 0 && cs.inflight >= quota.concurrent)
+      return reject(reject_retry_ms_locked(), "quota");
     std::uint32_t bucket_retry = 0;
-    if (!cs.bucket.try_take(monotonic_now_ns(), &bucket_retry)) {
-      m_.rejected.inc();
-      cs.rejected.inc();
-      conn->send_line(msg_reject(bucket_retry, "quota"));
-      return;
-    }
+    if (!cs.bucket.try_take(monotonic_now_ns(), &bucket_retry))
+      return reject(bucket_retry, "quota");
     // Brownout shedding: under pressure, low-priority (and optionally
     // high-cost) submissions are dropped before the queue bound has to
     // refuse everyone.  The hint scales with the level — the hotter the
@@ -930,9 +1002,8 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
     if (cmd.deadline_ms > 0) {
       // Deadline counts from admission: queue wait is the daemon's
       // problem, not the client's.
-      deadlines_.emplace(
-          monotonic_now() + std::chrono::milliseconds(cmd.deadline_ms), task);
-      cv_deadline_.notify_one();
+      arm(Timer::Kind::kDeadline, std::chrono::milliseconds(cmd.deadline_ms),
+          task);
     }
     active_.emplace(id, std::move(task));
   }
@@ -942,76 +1013,50 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
 void Daemon::handle_attach(const std::shared_ptr<Connection>& conn,
                            const Command& cmd) {
   std::shared_ptr<RunTask> task;
-  std::string status;  ///< terminal status; "" while the run is live
-  std::uint64_t last_seq = 0;
-  std::vector<std::string> replay;
-  bool live = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = active_.find(cmd.id);
-    if (it != active_.end()) {
+    if (const auto it = active_.find(cmd.id); it != active_.end())
       task = it->second;
-    } else {
-      for (const auto& t : recent_)
-        if (t->id == cmd.id) {
-          task = t;
-          break;
-        }
-    }
+    for (const auto& t : recent_)
+      if (!task && t->id == cmd.id) task = t;
     if (task) {
       const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
-      status = task->terminal_status;
-      last_seq = task->next_seq - 1;
-      for (const auto& [seq, line] : task->ring)
-        if (seq >= cmd.from) replay.push_back(line);
-      if (status.empty()) {
-        // Live run: ATTACHED + ring replay + subscription happen under
-        // sub_mu so no concurrent checkpoint can interleave or be missed
-        // between the replay and the live stream.
-        live = true;
+      if (task->terminal_status.empty()) {
+        // Live run: ATTACHED + ring replay + subscription are queued
+        // under sub_mu so no concurrent checkpoint can interleave or be
+        // missed between the replay and the live stream.
         m_.attach_total.inc();
         conn->send_line(msg_attached(
             cmd.id,
             task->started.load(std::memory_order_acquire) ? "running"
                                                           : "queued",
-            last_seq));
-        for (const std::string& line : replay) conn->send_line(line);
+            task->next_seq - 1));
+        for (const auto& [seq, line] : task->ring)
+          if (seq >= cmd.from) conn->send_line(line);
         task->subscribers.push_back({conn, cmd.from});
+        return;
       }
     }
   }
-  if (!task) {
+  // Terminal run: its ring and status are immutable now (subscribers were
+  // cleared at DONE), so the whole outcome replays from here — for ok
+  // runs the payload comes from the caches.
+  const bool ok = task && task->terminal_status == "ok";
+  const std::optional<std::string> payload =
+      ok ? cached_payload(task->canonical) : std::nullopt;
+  if (!task || (ok && !payload)) {
+    // Unknown, or evicted everywhere: the run is forgotten, so the client
+    // falls back to resubmitting (better than an ok with no bytes).
     conn->send_line(
         msg_error("reason=unknown_run id=" + std::to_string(cmd.id)));
     return;
   }
-  if (live) return;
-  // Terminal run: its ring and status are immutable now (subscribers were
-  // cleared at DONE), so the whole outcome replays from here — for ok
-  // runs the payload comes from the caches.
-  std::optional<std::string> payload;
-  if (status == "ok") {
-    payload = cache_.get(task->canonical);
-    if (!payload) {
-      payload = disk_cache_.get(task->canonical);
-      if (payload) cache_.put(task->canonical, *payload);
-    }
-    if (!payload) {
-      // Evicted everywhere: pretend the run is forgotten so the client
-      // falls back to resubmitting (better than an ok with no bytes).
-      conn->send_line(
-          msg_error("reason=unknown_run id=" + std::to_string(cmd.id)));
-      return;
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    m_.attach_total.inc();
-  }
-  conn->send_line(msg_attached(cmd.id, "done", last_seq));
-  for (const std::string& line : replay) conn->send_line(line);
+  m_.attach_total.inc();
+  conn->send_line(msg_attached(cmd.id, "done", task->next_seq - 1));
+  for (const auto& [seq, line] : task->ring)
+    if (seq >= cmd.from) conn->send_line(line);
   if (payload) send_payload(*conn, cmd.id, /*cached=*/true, *payload);
-  conn->send_line(msg_done(cmd.id, status));
+  conn->send_line(msg_done(cmd.id, task->terminal_status));
 }
 
 void Daemon::executor_loop() {
@@ -1055,7 +1100,7 @@ void Daemon::executor_loop() {
       recent_.push_back(task);
       if (recent_.size() > kRecentRuns) recent_.pop_front();
     }
-    cv_drain_.notify_all();
+    wake();  // a draining loop waits for active_ to empty
   }
 }
 
@@ -1064,27 +1109,41 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
   // The run's single terminal transition.  Order matters: outcome
   // counters were already bumped under mu_ (a client that reads DONE and
   // immediately asks STATS must see its run counted) and the journal's
-  // terminal record is fsync'd BEFORE any wire byte — a DONE a client saw
-  // is a DONE a restarted daemon remembers.  Then, under sub_mu, the
-  // final lines go to every subscriber and the subscriber list is
-  // dropped: a finished task must not keep client fds open, and ATTACH
-  // observes terminal_status to replay the outcome instead of joining.
+  // terminal record is fsync'd BEFORE DONE is queued — a DONE a client
+  // saw is a DONE a restarted daemon remembers.  Then, under sub_mu, the
+  // final lines are queued for every subscriber and the subscriber list
+  // is dropped: a finished task must not keep client connections alive,
+  // and ATTACH observes terminal_status to replay the outcome instead of
+  // joining.
   const auto finish = [&](const std::string& status,
                           const std::string* error_line,
                           const std::string* payload, bool cached) {
     journal_.terminal(task->id, status);
-    const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
-    task->terminal_status = status;
-    for (const auto& sub : task->subscribers) {
-      if (error_line != nullptr) sub.conn->send_line(*error_line);
-      if (payload != nullptr) send_payload(*sub.conn, task->id, cached,
-                                           *payload);
-      sub.conn->send_line(msg_done(task->id, status));
+    {
+      const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
+      task->terminal_status = status;
+      for (const auto& sub : task->subscribers) {
+        if (error_line != nullptr) sub.conn->send_line(*error_line);
+        if (payload != nullptr)
+          send_payload(*sub.conn, task->id, cached, *payload);
+        sub.conn->send_line(msg_done(task->id, status));
+      }
+      task->subscribers.clear();
     }
-    task->subscribers.clear();
+    wake();
+  };
+  // Extends the spec's crash streak (caller holds mu_); returns its length.
+  const auto extend_streak_locked = [&](const char* failures) {
+    CrashStreak& s = crash_streaks_[task->canonical];
+    s.touched_ns = monotonic_now_ns();
+    if (++s.count == options_.quarantine_threshold)
+      std::cerr << "rdcn_serve: quarantining spec after " << s.count
+                << " consecutive " << failures << ": " << task->canonical
+                << "\n";
+    return s.count;
   };
   // Ends the run with DONE status stalled/deadline_exceeded/cancelled,
-  // whichever the token firing meant.  A stall (the progress watchdog
+  // whichever the token firing meant.  A stall (the progress tick
   // fired) also extends the spec's crash streak: a spec that reliably
   // wedges executors is as dangerous as one that crashes them.
   const auto finish_cancelled = [&] {
@@ -1096,13 +1155,7 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
       const std::lock_guard<std::mutex> lock(mu_);
       if (stalled) {
         m_.runs_stalled.inc();
-        CrashStreak& s = crash_streaks_[task->canonical];
-        streak = ++s.count;
-        s.touched_ns = monotonic_now_ns();
-        if (options_.quarantine_threshold > 0 &&
-            streak == options_.quarantine_threshold)
-          std::cerr << "rdcn_serve: quarantining spec after " << streak
-                    << " consecutive failures: " << task->canonical << "\n";
+        streak = extend_streak_locked("failures");
       } else if (deadline) {
         m_.runs_deadline.inc();
       } else {
@@ -1127,13 +1180,7 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
       const std::lock_guard<std::mutex> lock(mu_);
       m_.crashes.inc();
       m_.runs_error.inc();
-      CrashStreak& s = crash_streaks_[task->canonical];
-      streak = ++s.count;
-      s.touched_ns = monotonic_now_ns();
-      if (options_.quarantine_threshold > 0 &&
-          streak == options_.quarantine_threshold)
-        std::cerr << "rdcn_serve: quarantining spec after " << streak
-                  << " consecutive crashes: " << task->canonical << "\n";
+      streak = extend_streak_locked("crashes");
     }
     journal_.quarantine_streak(task->canonical, streak);
     m_.run_error.observe_ns(monotonic_now_ns() - start_ns);
@@ -1160,12 +1207,8 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
     // The pre-crash run may have finished with its terminal record lost
     // (the caches commit before the journal's fsync'd done record);
     // serve the stored bytes instead of recomputing.
-    std::optional<std::string> payload = cache_.get(task->canonical);
-    if (!payload) {
-      payload = disk_cache_.get(task->canonical);
-      if (payload) cache_.put(task->canonical, *payload);
-    }
-    if (payload) {
+    if (const std::optional<std::string> payload =
+            cached_payload(task->canonical)) {
       finish_ok(*payload, /*cached=*/true);
       return;
     }
@@ -1198,6 +1241,7 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
       if (task->subscribers.empty() && !task->recovered && !durable)
         task->cancel.request_cancel();
     }
+    wake();
     journal_.checkpoint(task->id, seq);
   };
   try {
@@ -1205,7 +1249,7 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
       throw std::runtime_error("injected executor crash");
     if (fault::fire("serve.executor.stall")) {
       // Simulated wedge: no checkpoints ever come, so only the progress
-      // watchdog (or a CANCEL/deadline) can end this run.  The wait is
+      // tick (or a CANCEL/deadline) can end this run.  The wait is
       // cooperative — the executor thread itself never deadlocks.
       while (!task->cancel.cancelled())
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -1238,72 +1282,22 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
   }
 }
 
-void Daemon::watchdog_loop() {
-  // Besides per-run deadlines, the watchdog owns two periodic duties:
-  // the progress monitor (cancel running tasks whose checkpoint stream
-  // went quiet) and the brownout re-evaluation (so the level *recovers*
-  // even when no admission arrives to trigger an update).  Either one
-  // turns the indefinite deadline wait into a bounded tick.
-  const bool progress = options_.progress_timeout_ms > 0;
-  const bool ticking = progress || options_.max_rss_mb > 0;
-  const auto tick = std::chrono::milliseconds(
-      progress ? std::clamp<std::uint64_t>(options_.progress_timeout_ms / 4,
-                                           10, 1000)
-               : 250);
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stopping_) {
-    if (deadlines_.empty() && !ticking) {
-      cv_deadline_.wait(lock);
-      continue;
-    }
-    auto wake = monotonic_now() + tick;
-    if (!deadlines_.empty() && deadlines_.begin()->first < wake)
-      wake = deadlines_.begin()->first;
-    if (monotonic_now() < wake) {
-      // Re-evaluate after the wait: an earlier deadline may have been
-      // armed, or stop() may have been requested.
-      cv_deadline_.wait_until(lock, wake);
-      if (stopping_) break;
-    }
-    const auto now = monotonic_now();
-    while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
-      if (const std::shared_ptr<RunTask> task =
-              deadlines_.begin()->second.lock()) {
-        // Mark before firing so the executor's CancelledError handler
-        // reads the right reason.  Firing after completion is harmless —
-        // the token is dead weight once DONE is out.
-        task->deadline_fired.store(true, std::memory_order_release);
-        task->cancel.request_cancel();
-      }
-      deadlines_.erase(deadlines_.begin());
-    }
-    if (!ticking) continue;
-    update_brownout_locked();
-    if (!progress) continue;
-    const std::uint64_t budget_ns =
-        options_.progress_timeout_ms * 1'000'000ull;
-    const std::uint64_t now_ns = monotonic_now_ns();
-    for (auto& [id, task] : active_) {
-      if (!task->started.load(std::memory_order_acquire)) continue;
-      const std::uint64_t last =
-          task->last_progress_ns.load(std::memory_order_relaxed);
-      if (last == 0 || now_ns - last <= budget_ns) continue;
-      // Mark-then-fire, like the deadline path.  exchange() makes the
-      // stall fire once even if the run lingers across several ticks.
-      if (!task->stalled_fired.exchange(true, std::memory_order_acq_rel))
-        task->cancel.request_cancel();
-    }
+std::optional<std::string> Daemon::cached_payload(
+    const std::string& canonical) {
+  std::optional<std::string> payload = cache_.get(canonical);
+  if (!payload) {
+    payload = disk_cache_.get(canonical);
+    if (payload) cache_.put(canonical, *payload);
   }
+  return payload;
 }
 
 void Daemon::send_payload(Connection& conn, std::uint64_t id, bool cached,
                           const std::string& payload) {
-  std::size_t lines = 0;
-  for (const char c : payload)
-    if (c == '\n') ++lines;
   // Header and payload travel as one write unit so no other run's lines
   // can land between them; the payload is already newline-framed CSV and
   // ships verbatim, bit-identical to a direct rdcn_sim --csv run.
+  const auto lines = std::count(payload.begin(), payload.end(), '\n');
   conn.send_raw(msg_result(id, cached, lines) + "\n" + payload);
 }
 

@@ -7,11 +7,18 @@
 // serve/protocol.hpp for the wire format.
 //
 // Execution model:
-//   * every connection gets a reader thread (commands are line-framed and
-//     cheap to parse; replies may interleave across runs, attributed by
-//     id).  The per-connection read buffer is bounded: a newline-free
-//     stream past 1 MiB gets ERROR reason=line_too_long and the
-//     connection closed;
+//   * one poll() thread owns every socket: the listener, each connection's
+//     non-blocking fd, its line buffer, and its outbound byte queue.
+//     Commands are line-framed and cheap to parse; replies may interleave
+//     across runs, attributed by id.  A newline-free stream past 1 MiB
+//     gets ERROR reason=line_too_long and the connection closed.  A
+//     connection whose unsent replies pass 1 MiB is not read until its
+//     client catches up, so a client that stops reading costs one bounded
+//     buffer and stalls nobody else;
+//   * the same thread keeps one timer heap (run deadlines, the progress
+//     and brownout ticks, the drain budget, metrics dumps) and one
+//     self-pipe, written by the SIGTERM/SIGINT handler and by executors
+//     that queued output.  No lock is held across a socket call;
 //   * admitted runs wait in a bounded deficit-round-robin queue, one lane
 //     per client (HELLO client=<name> binds a connection; anonymous
 //     traffic pools under "anon"), charged in estimated cost units — many
@@ -32,11 +39,10 @@
 //     (trial parallelism) with a CancelToken threaded down to the
 //     simulator's serve-chunk loop — CANCEL stops a run within one
 //     4096-request chunk and frees its executor and pool slots;
-//   * RUN ... deadline_ms=<n> arms a monotonic-clock watchdog (one thread,
-//     earliest-deadline wakeups): a run still going n ms after admission
-//     is cancelled through the same cooperative token and reported as
-//     DONE status=deadline_exceeded;
-//   * the same watchdog thread doubles as a progress monitor: with
+//   * RUN ... deadline_ms=<n> arms a monotonic-clock timer on the loop: a
+//     run still going n ms after admission is cancelled through the same
+//     cooperative token and reported as DONE status=deadline_exceeded;
+//   * a periodic loop tick doubles as a progress monitor: with
 //     --progress-timeout-ms set, a running task whose checkpoint stream
 //     stops advancing for that long is cancelled and reported as DONE
 //     status=stalled — and the stall extends the spec's quarantine
@@ -96,9 +102,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -175,7 +184,7 @@ struct ServeOptions {
   /// Fault-injection spec armed at start() (fault::arm_from_spec syntax);
   /// "" arms nothing.  RDCN_FAULTS in the environment is applied too.
   std::string faults;
-  /// When non-empty, a snapshot thread writes the full metric registry
+  /// When non-empty, the daemon writes the full metric registry
   /// (plus the merged trace tree) as JSON to this file every
   /// metrics_dump_ms, atomically (temp-file + rename), and once more at
   /// stop().
@@ -192,8 +201,8 @@ class Daemon {
   Daemon& operator=(const Daemon&) = delete;
 
   /// Binds the socket, loads the disk cache, arms configured faults, and
-  /// spawns the accept + watchdog + executor threads.  Throws SpecError
-  /// when the socket cannot be created/bound.
+  /// spawns the event-loop and executor threads.  Throws SpecError when
+  /// the socket cannot be created/bound.
   void start();
 
   /// Stops accepting, cancels every queued/running run, joins all
@@ -221,11 +230,33 @@ class Daemon {
  private:
   struct Connection;
   struct RunTask;
+  /// One entry of the loop's timer heap.
+  struct Timer {
+    enum class Kind { kDeadline, kTick, kDrainBudget, kDrainBound, kDump };
+    MonotonicClock::time_point when;
+    Kind kind;
+    std::weak_ptr<RunTask> task;  ///< kDeadline: the run to cancel
+    bool operator>(const Timer& other) const { return when > other.when; }
+  };
 
-  void accept_loop();
-  void connection_loop(const std::shared_ptr<Connection>& conn);
-  /// Returns false when the connection should close (SHUTDOWN).
-  bool handle_command(const std::shared_ptr<Connection>& conn,
+  /// The event loop: every socket read and write happens here.
+  void loop();
+  void accept_connections();
+  /// Handles `conn`'s buffered lines while its unsent bytes stay under the
+  /// cap, flushing as it goes.  Returns false when the connection is done.
+  bool serve_lines(const std::shared_ptr<Connection>& conn);
+  /// Writes queued units until the socket would block.  Returns false when
+  /// the connection is done (peer gone, or hung up and fully written).
+  bool flush(Connection& conn);
+  /// Closes the fd, unsubscribes the client everywhere, and cancels the
+  /// runs it orphaned.
+  void close_connection(const std::shared_ptr<Connection>& conn);
+  void arm(Timer::Kind kind, std::chrono::milliseconds in,
+           std::weak_ptr<RunTask> task = {});
+  void run_due_timers();
+  /// Wakes the loop (executors, stop()); coalesced to one pipe byte.
+  void wake();
+  void handle_command(const std::shared_ptr<Connection>& conn,
                       const std::string& line);
   void handle_run(const std::shared_ptr<Connection>& conn,
                   const Command& cmd);
@@ -233,15 +264,13 @@ class Daemon {
                      const Command& cmd);
   /// Starts the graceful drain exactly once (signal, SHUTDOWN drain=1).
   void begin_drain();
-  void drain_loop();
-  void signal_loop();
+  void finish_drain();
   void executor_loop();
   void execute(const std::shared_ptr<RunTask>& task);
-  void watchdog_loop();
-  void metrics_dump_loop();
   void write_metrics_dump() const;
-  /// Joins reader threads listed in finished_readers_ (caller holds mu_).
-  void reap_finished_readers_locked();
+  /// The stored payload for a canonical spec: the in-memory LRU first,
+  /// then the persistent store (a hit there repopulates the LRU).
+  std::optional<std::string> cached_payload(const std::string& canonical);
   void send_payload(Connection& conn, std::uint64_t id, bool cached,
                     const std::string& payload);
 
@@ -251,8 +280,8 @@ class Daemon {
   /// when several daemons run sequentially in one (test) process.
   obs::Registry obs_;
   /// Handles into obs_, resolved once at construction so record sites
-  /// are single relaxed adds.  Terminal-outcome counters are bumped
-  /// under mu_ BEFORE the DONE line goes out (see execute()).
+  /// are single relaxed adds from any thread.  Terminal-outcome counters
+  /// are bumped under mu_ BEFORE the DONE line is queued (see execute()).
   struct Metrics {
     explicit Metrics(obs::Registry& r);
     obs::Counter& runs_ok;        ///< DONE status=ok (cache hits included)
@@ -303,10 +332,12 @@ class Daemon {
   /// Drain-rate retry hint for a REJECT issued now.  Caller holds mu_.
   std::uint32_t reject_retry_ms_locked() const;
 
+  /// Guards the run state shared by the loop and the executors: queue_,
+  /// clients_, active_, recent_, crash_streaks_, next_id_ and the flags
+  /// the owner waits on.  Never held across a socket call.
   mutable std::mutex mu_;
   std::condition_variable cv_exec_;      ///< executors wait for work
   std::condition_variable cv_shutdown_;  ///< owner waits for SHUTDOWN
-  std::condition_variable cv_deadline_;  ///< watchdog waits for deadlines
   DrrQueue<std::shared_ptr<RunTask>> queue_;
   std::map<std::string, ClientState> clients_;
   QuotaTable quotas_;          ///< immutable after start()
@@ -322,10 +353,6 @@ class Daemon {
   /// here.  Terminal tasks hold no Connection refs (subscribers are
   /// cleared at DONE), so this retains no client fds.
   std::deque<std::shared_ptr<RunTask>> recent_;
-  /// Armed deadlines, earliest first; entries for finished runs expire
-  /// harmlessly (weak_ptr).
-  std::multimap<MonotonicClock::time_point, std::weak_ptr<RunTask>>
-      deadlines_;
   /// canonical spec → consecutive executor crashes/stalls (cleared on
   /// success, by RESET, or after quarantine_ttl_s of quiet).
   struct CrashStreak {
@@ -333,31 +360,31 @@ class Daemon {
     std::uint64_t touched_ns = 0;  ///< last extension (TTL aging)
   };
   std::unordered_map<std::string, CrashStreak> crash_streaks_;
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> conn_threads_;
-  /// Reader threads that have exited (disconnected clients); their ids
-  /// wait here until accept_loop/stop() joins them, so neither thread
-  /// handles nor Connection fds accumulate over the daemon's lifetime.
-  std::vector<std::thread::id> finished_readers_;
   std::uint64_t next_id_ = 1;
   bool started_ = false;
   bool shutdown_requested_ = false;
-  /// Admissions refuse with ERROR reason=draining while the drain thread
-  /// waits for in-flight runs (guarded by mu_).
-  bool draining_ = false;
-
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> drain_requested_{false};
-  std::thread accept_thread_;
-  std::thread watchdog_thread_;
-  std::thread metrics_thread_;
-  std::thread drain_thread_;
-  std::thread signal_thread_;
-  int signal_pipe_[2] = {-1, -1};  ///< self-pipe: handler writes, loop reads
+
+  // Loop-thread state: no lock, only the loop touches it.
+  std::vector<std::shared_ptr<Connection>> conns_;
+  /// Deadlines, ticks, the drain bounds and metrics dumps, earliest first;
+  /// a deadline whose run already finished expires harmlessly (weak_ptr).
+  std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
+  /// Admissions refuse with ERROR reason=draining while in-flight runs
+  /// finish; drained_ once shutdown_requested_ has been raised for it.
+  bool draining_ = false;
+  bool drained_ = false;
+  std::uint64_t drain_begin_ns_ = 0;
+  /// accept() ran out of fds: the listener is left out of poll() until a
+  /// connection closes, instead of spinning on it.
+  bool accept_paused_ = false;
+
+  /// Self-pipe: the signal handler and wake() write, the loop reads.
+  int wake_pipe_[2] = {-1, -1};
+  std::atomic<bool> wake_pending_{false};
   struct sigaction old_term_ {};
   struct sigaction old_int_ {};
-  std::condition_variable cv_metrics_;  ///< wakes the dump thread at stop
-  std::condition_variable cv_drain_;    ///< drain waits for active_ empty
+  std::thread loop_thread_;
   std::vector<std::thread> executors_;
 };
 

@@ -98,6 +98,20 @@ class Trace {
     v_.push_back(r.v);
   }
 
+  /// Appends `n` requests: both columns grow once per call, not once per
+  /// request (materialize() feeds whole 4096-request chunks through here).
+  void append(const Request* r, std::size_t n) {
+    const std::size_t base = u_.size();
+    u_.resize(base + n);
+    v_.resize(base + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      RDCN_DCHECK(r[i].u < num_racks_ && r[i].v < num_racks_ &&
+                  r[i].u != r[i].v);
+      u_[base + i] = r[i].u;
+      v_[base + i] = r[i].v;
+    }
+  }
+
   void reserve(std::size_t n) {
     u_.reserve(n);
     v_.reserve(n);

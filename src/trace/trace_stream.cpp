@@ -11,7 +11,7 @@ Trace materialize(TraceStream& stream) {
   while (true) {
     const std::size_t n = stream.next(chunk.data(), chunk.size());
     if (n == 0) break;
-    for (std::size_t i = 0; i < n; ++i) t.push_back(chunk[i]);
+    t.append(chunk.data(), n);
   }
   return t;
 }

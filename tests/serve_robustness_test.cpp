@@ -2,19 +2,26 @@
 // malformed-input matrix driven through a real socket, the bounded read
 // line, deadline enforcement, executor crash containment + quarantine,
 // client retry through REJECT backpressure and mid-run disconnects,
-// fd/executor hygiene after torn sends, and disk-cache persistence
-// across a daemon restart with a torn entry on disk.
+// fd/executor hygiene after torn sends, a client that stops reading,
+// the daemon's thread count, and disk-cache persistence across a daemon
+// restart with a torn entry on disk.
 //
 // Fault points (common/fault.hpp) make every failure deterministic; the
 // fixture guarantees nothing stays armed between tests.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +126,35 @@ std::string dump_fds() {
            (ec ? "?" : target.string()) + "\n";
   }
   return out;
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       fs::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+/// A bare connection whose writes never block, for a client that
+/// pipelines commands and never reads the replies.
+int connect_raw(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  if (fd < 0 || ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                          sizeof(addr)) != 0)
+    throw std::runtime_error(std::string("connect_raw: ") +
+                             std::strerror(errno));
+  return fd;
+}
+
+std::string read_line_raw(int fd) {
+  std::string line;
+  char c;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
+  return line;
 }
 
 /// Nothing armed before or after any test (the registry is global).
@@ -483,6 +519,87 @@ TEST_F(RobustnessTest, DisconnectDuringRunFreesExecutorAndFds) {
   EXPECT_TRUE(poll_until([&] { return open_fd_count() <= fd_baseline; }))
       << "open fds: " << open_fd_count() << " baseline: " << fd_baseline
       << "\n" << dump_fds();
+}
+
+// ------------------------------------------------ slow readers, threads
+
+TEST_F(RobustnessTest, ClientThatStopsReadingCannotWedgeTheDaemon) {
+  // executors=0 keeps the long run queued, so every ATTACH finds it live
+  // and every further RUN is over the queue limit and draws REJECT.
+  ServeOptions options = small_options("slow_reader");
+  options.executors = 0;
+  options.queue_limit = 1;
+  auto daemon = std::make_unique<Daemon>(options);
+  daemon->start();
+
+  // Client A submits, then pipelines ATTACH and RUN lines without ever
+  // reading a reply, until the daemon stops taking its bytes (no progress
+  // for 200 ms).
+  const int a = connect_raw(options.socket_path);
+  const std::string run = std::string("RUN ") + kLongSpec + "\n";
+  ASSERT_EQ(::send(a, run.data(), run.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(run.size()));
+  const ServerLine accepted = parse_server_line(read_line_raw(a));
+  ASSERT_EQ(accepted.kind, ServerLine::Kind::kAccepted);
+  std::string flood;
+  for (int i = 0; i < 15; ++i)
+    flood += "ATTACH " + std::to_string(accepted.id) + "\n";
+  flood += std::string("RUN ") + kTinySpec + "\n";
+  std::size_t offset = 0;
+  const auto flood_end = monotonic_now() + std::chrono::seconds(20);
+  auto last_progress = monotonic_now();
+  while (monotonic_now() < flood_end &&
+         monotonic_now() - last_progress < std::chrono::milliseconds(200)) {
+    const ssize_t n = ::send(a, flood.data() + offset, flood.size() - offset,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n < 0) {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    offset = (offset + static_cast<std::size_t>(n)) % flood.size();
+    last_progress = monotonic_now();
+  }
+  EXPECT_LT(monotonic_now(), flood_end);
+
+  // Client B is served promptly all the same.
+  Client b;
+  b.connect(options.socket_path);
+  b.set_read_timeout_seconds(2);
+  const auto b_begin = monotonic_now();
+  b.ping();
+  const StatsReport stats = b.stats_report();
+  EXPECT_LT(monotonic_now() - b_begin, std::chrono::seconds(2));
+  EXPECT_GT(stats.rejected, 0u);
+  // The daemon stopped reading A once its replies piled up: each ATTACHED
+  // reply here is 38 bytes, so 100k of them would be 3.8 MB buffered for a
+  // client that reads nothing, several times the 1 MiB cap plus socket
+  // buffers.
+  EXPECT_GT(stats.attached, 0u);
+  EXPECT_LT(stats.attached, 100'000u);
+  b.disconnect();
+
+  // And stop() does not wait on A.
+  const auto stop_begin = monotonic_now();
+  daemon->stop();
+  EXPECT_LT(monotonic_now() - stop_begin, std::chrono::seconds(5));
+  ::close(a);
+}
+
+TEST_F(RobustnessTest, ConnectionCostsABufferNotAThread) {
+  const std::size_t before = thread_count();
+  ServeOptions options = small_options("threads");
+  DaemonFixture f(options);
+  f.client.ping();
+  // The event loop and the executors, nothing else.
+  const std::size_t started = thread_count();
+  EXPECT_EQ(started - before, 1 + options.executors);
+  std::vector<Client> clients(32);
+  for (Client& c : clients) {
+    c.connect(options.socket_path);
+    c.ping();
+  }
+  EXPECT_EQ(thread_count(), started);
 }
 
 // -------------------------------------- disk persistence across restart
