@@ -200,33 +200,20 @@ struct Daemon::RunTask {
   std::string terminal_status;  ///< "" until terminal; then ok|...|error
 };
 
-namespace {
-
-obs::Counter& runs_total(obs::Registry& r, const char* status) {
-  return r.counter("rdcn_serve_runs_total", "Runs by terminal status",
-                   {{"status", status}});
-}
-
-obs::Histogram& queue_wait(obs::Registry& r, const char* priority) {
-  return r.latency_histogram("rdcn_serve_queue_wait_seconds",
-                             "Admission-to-pickup queue latency by priority",
-                             {{"priority", priority}});
-}
-
-obs::Histogram& run_seconds(obs::Registry& r, const char* status) {
-  return r.latency_histogram("rdcn_serve_run_seconds",
-                             "Executor run latency by terminal status",
-                             {{"status", status}});
-}
-
-}  // namespace
-
 Daemon::Metrics::Metrics(obs::Registry& r)
-    : runs_ok(runs_total(r, "ok")),
-      runs_cancelled(runs_total(r, "cancelled")),
-      runs_deadline(runs_total(r, "deadline_exceeded")),
-      runs_stalled(runs_total(r, "stalled")),
-      runs_error(runs_total(r, "error")),
+    : runs_ok(r.counter("rdcn_serve_runs_total", "Runs by terminal status",
+                        {{"status", "ok"}})),
+      runs_cancelled(r.counter("rdcn_serve_runs_total",
+                               "Runs by terminal status",
+                               {{"status", "cancelled"}})),
+      runs_deadline(r.counter("rdcn_serve_runs_total",
+                              "Runs by terminal status",
+                              {{"status", "deadline_exceeded"}})),
+      runs_stalled(r.counter("rdcn_serve_runs_total",
+                             "Runs by terminal status",
+                             {{"status", "stalled"}})),
+      runs_error(r.counter("rdcn_serve_runs_total", "Runs by terminal status",
+                           {{"status", "error"}})),
       crashes(r.counter("rdcn_serve_crashes_total",
                         "Executor crashes (non-SpecError escapes)")),
       rejected(r.counter("rdcn_serve_rejected_total",
@@ -248,14 +235,36 @@ Daemon::Metrics::Metrics(obs::Registry& r)
       admission_wait(r.latency_histogram(
           "rdcn_serve_admission_wait_seconds",
           "Admission-to-executor-pickup queue latency")),
-      queue_wait_p0(queue_wait(r, "0")),
-      queue_wait_p1(queue_wait(r, "1")),
-      queue_wait_p2(queue_wait(r, "2")),
-      run_ok(run_seconds(r, "ok")),
-      run_cancelled(run_seconds(r, "cancelled")),
-      run_deadline(run_seconds(r, "deadline_exceeded")),
-      run_stalled(run_seconds(r, "stalled")),
-      run_error(run_seconds(r, "error")),
+      queue_wait_p0(r.latency_histogram(
+          "rdcn_serve_queue_wait_seconds",
+          "Admission-to-pickup queue latency by priority",
+          {{"priority", "0"}})),
+      queue_wait_p1(r.latency_histogram(
+          "rdcn_serve_queue_wait_seconds",
+          "Admission-to-pickup queue latency by priority",
+          {{"priority", "1"}})),
+      queue_wait_p2(r.latency_histogram(
+          "rdcn_serve_queue_wait_seconds",
+          "Admission-to-pickup queue latency by priority",
+          {{"priority", "2"}})),
+      run_ok(r.latency_histogram("rdcn_serve_run_seconds",
+                                 "Executor run latency by terminal status",
+                                 {{"status", "ok"}})),
+      run_cancelled(r.latency_histogram(
+          "rdcn_serve_run_seconds",
+          "Executor run latency by terminal status",
+          {{"status", "cancelled"}})),
+      run_deadline(r.latency_histogram(
+          "rdcn_serve_run_seconds",
+          "Executor run latency by terminal status",
+          {{"status", "deadline_exceeded"}})),
+      run_stalled(r.latency_histogram(
+          "rdcn_serve_run_seconds",
+          "Executor run latency by terminal status",
+          {{"status", "stalled"}})),
+      run_error(r.latency_histogram("rdcn_serve_run_seconds",
+                                    "Executor run latency by terminal status",
+                                    {{"status", "error"}})),
       drain_seconds(r.latency_histogram("rdcn_serve_drain_seconds",
                                         "Graceful-drain duration")) {}
 
@@ -510,7 +519,8 @@ void Daemon::write_metrics_dump() const {
 }
 
 void Daemon::wake() {
-  if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
+  // The pipe is non-blocking: when it is full, a wake-up is already
+  // pending and this byte is not needed.
   const char byte = 'w';
   [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
@@ -606,10 +616,18 @@ void Daemon::loop() {
     polled = conns_;
     for (const auto& conn : polled)
       if (!serve_lines(conn)) close_connection(conn);
-    if (draining_ && [&] {
+    // The drain is done once no run is in flight and every byte queued
+    // for a client is in its socket; stopping now would discard the rest.
+    // active_ is read first: a run queues its DONE before it leaves it.
+    // A client that never reads holds the drain for at most drain_ms plus
+    // the straggler bound.
+    if (draining_ &&
+        [&] {
           const std::lock_guard<std::mutex> lock(mu_);
           return active_.empty();
-        }())
+        }() &&
+        std::all_of(conns_.begin(), conns_.end(),
+                    [](const auto& conn) { return conn->unsent() == 0; }))
       finish_drain();
     fds.assign({{wake_pipe_[0], POLLIN, 0},
                 {accept_paused_ ? -1 : listen_fd_, POLLIN, 0}});
@@ -641,10 +659,6 @@ void Daemon::loop() {
       while ((n = ::read(wake_pipe_[0], bytes, sizeof(bytes))) > 0)
         if (std::memchr(bytes, kSignalByte, static_cast<std::size_t>(n)))
           begin_drain();
-      // Cleared only once the pipe is empty: a wake() that still sees the
-      // flag set is served by the next turn's flush, and one that sets it
-      // again writes a byte the next poll() sees.
-      wake_pending_.exchange(false, std::memory_order_acq_rel);
     }
     if (fds[1].revents != 0) accept_connections();
     for (std::size_t i = 0; i < polled.size(); ++i) {
@@ -692,7 +706,9 @@ bool Daemon::serve_lines(const std::shared_ptr<Connection>& conn) {
     std::string line = c.in.substr(head, nl - head);
     head = nl + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!line.empty()) handle_command(conn, line);
+    // SHUTDOWN closes the connection once its reply is written.
+    if (!line.empty() && !handle_command(conn, line))
+      c.hang_up(/*discard=*/false);
   }
   c.in.erase(0, head);
   c.scanned = nl == std::string::npos ? c.in.size() : 0;
@@ -769,19 +785,19 @@ void Daemon::close_connection(const std::shared_ptr<Connection>& conn) {
   accept_paused_ = false;
 }
 
-void Daemon::handle_command(const std::shared_ptr<Connection>& conn,
+bool Daemon::handle_command(const std::shared_ptr<Connection>& conn,
                             const std::string& line) {
   const Command cmd = parse_command(line);
   switch (cmd.kind) {
     case Command::Kind::kPing:
       conn->send_line(msg_pong());
-      return;
+      return true;
     case Command::Kind::kHello:
       // Rebinding mid-connection is allowed (a proxy serving several
       // tenants reuses one socket); only later RUNs are affected.
       conn->client = cmd.client;
       conn->send_line(msg_welcome(cmd.client));
-      return;
+      return true;
     case Command::Kind::kReset: {
       // Operator verb: clear quarantine/crash-streak state without a
       // restart.  Journalled (streak 0) so a crash right after the RESET
@@ -804,11 +820,11 @@ void Daemon::handle_command(const std::shared_ptr<Connection>& conn,
         }
       }
       conn->send_line(msg_resetok(cleared));
-      return;
+      return true;
     }
     case Command::Kind::kRun:
       handle_run(conn, cmd);
-      return;
+      return true;
     case Command::Kind::kCancel: {
       CancelToken token;
       {
@@ -828,42 +844,44 @@ void Daemon::handle_command(const std::shared_ptr<Connection>& conn,
         conn->send_line(msg_cancelling(cmd.id));
         token.request_cancel();
       }
-      return;
+      return true;
     }
     case Command::Kind::kAttach:
       handle_attach(conn, cmd);
-      return;
+      return true;
     case Command::Kind::kStats:
       conn->send_line(msg_stats(stats_report()));
-      return;
+      return true;
     case Command::Kind::kMetrics: {
       // Header + exposition travel as one write unit (like RESULT) so no
       // other run's lines can land inside the payload.
       const std::string text = metrics_text();
-      conn->send_raw(msg_metrics(std::count(text.begin(), text.end(), '\n')) +
-                     "\n" + text);
-      return;
+      std::size_t lines = 0;
+      for (const char c : text)
+        if (c == '\n') ++lines;
+      conn->send_raw(msg_metrics(lines) + "\n" + text);
+      return true;
     }
     case Command::Kind::kShutdown: {
       conn->send_line(msg_bye());
-      conn->hang_up(/*discard=*/false);
       if (cmd.drain) {
         // Graceful: the loop raises shutdown_requested_ once in-flight
         // runs finished (or the drain budget expired).
         begin_drain();
-        return;
+        return false;
       }
       {
         const std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
       }
       cv_shutdown_.notify_all();
-      return;
+      return false;
     }
     case Command::Kind::kInvalid:
       conn->send_line(msg_error(cmd.error));
-      return;
+      return true;
   }
+  return true;
 }
 
 void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
@@ -892,7 +910,8 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
                              : !conn->client.empty() ? conn->client
                                                      : "anon";
 
-  std::uint64_t id;
+  // Quarantine: a spec that keeps crashing executors is fast-failed at
+  // admission instead of being given another executor to wedge.
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
@@ -901,8 +920,6 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
       conn->send_line(msg_error("reason=draining daemon is shutting down"));
       return;
     }
-    // Quarantine: a spec that keeps crashing executors is fast-failed at
-    // admission instead of being given another executor to wedge.
     const auto it = crash_streaks_.find(canonical);
     if (options_.quarantine_threshold > 0 && it != crash_streaks_.end()) {
       // TTL aging: a streak untouched for quarantine_ttl_s no longer
@@ -922,21 +939,42 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
         return;
       }
     }
-    // Injected admission failure: exercises the client's REJECT/backoff
-    // path without actually filling the queue.
-    if (fault::fire("serve.admit.reject")) {
+  }
+
+  // Injected admission failure: exercises the client's REJECT/backoff
+  // path without actually filling the queue.
+  if (fault::fire("serve.admit.reject")) {
+    std::uint32_t retry = options_.retry_hint_ms;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
       m_.rejected.inc();
       client_state_locked(client).rejected.inc();
-      conn->send_line(msg_reject(reject_retry_ms_locked()));
-      return;
+      retry = reject_retry_ms_locked();
     }
+    conn->send_line(msg_reject(retry));
+    return;
+  }
+
+  std::uint64_t id;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
     id = next_id_++;
   }
 
   // A cache hit bypasses admission entirely — replaying stored bytes is
-  // cheap, so cached runs are never rejected for backpressure.
-  if (const std::optional<std::string> payload = cached_payload(canonical)) {
-    m_.runs_ok.inc();
+  // cheap, so cached runs are never rejected for backpressure.  The
+  // in-memory LRU is consulted first, then the persistent store (which a
+  // restarted daemon repopulates the LRU from).
+  std::optional<std::string> payload = cache_.get(canonical);
+  if (!payload) {
+    payload = disk_cache_.get(canonical);
+    if (payload) cache_.put(canonical, *payload);
+  }
+  if (payload) {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      m_.runs_ok.inc();
+    }
     conn->send_line(msg_accepted(id));
     send_payload(*conn, id, /*cached=*/true, *payload);
     conn->send_line(msg_done(id, "ok"));
@@ -956,24 +994,31 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
     // queue this run's CHECKPOINT lines ahead of it.
     const std::lock_guard<std::mutex> lock(mu_);
     ClientState& cs = client_state_locked(client);
-    const auto reject = [&](std::uint32_t retry_ms, const char* reason) {
+    if (queue_.size() >= options_.queue_limit) {
       m_.rejected.inc();
       cs.rejected.inc();
-      conn->send_line(msg_reject(retry_ms, reason));
-    };
-    if (queue_.size() >= options_.queue_limit)
-      return reject(reject_retry_ms_locked(), "queue_full");
+      conn->send_line(msg_reject(reject_retry_ms_locked()));
+      return;
+    }
     // Per-client caps next: the concurrent-run quota (queued + running
     // charged at admission, released at the terminal) and the admission
     // token bucket.  Both refuse with reason=quota and an honest hint —
     // the drain rate for a full pipeline, the refill time for an empty
     // bucket.
     const QuotaSpec& quota = quotas_.lookup(client);
-    if (quota.concurrent > 0 && cs.inflight >= quota.concurrent)
-      return reject(reject_retry_ms_locked(), "quota");
+    if (quota.concurrent > 0 && cs.inflight >= quota.concurrent) {
+      m_.rejected.inc();
+      cs.rejected.inc();
+      conn->send_line(msg_reject(reject_retry_ms_locked(), "quota"));
+      return;
+    }
     std::uint32_t bucket_retry = 0;
-    if (!cs.bucket.try_take(monotonic_now_ns(), &bucket_retry))
-      return reject(bucket_retry, "quota");
+    if (!cs.bucket.try_take(monotonic_now_ns(), &bucket_retry)) {
+      m_.rejected.inc();
+      cs.rejected.inc();
+      conn->send_line(msg_reject(bucket_retry, "quota"));
+      return;
+    }
     // Brownout shedding: under pressure, low-priority (and optionally
     // high-cost) submissions are dropped before the queue bound has to
     // refuse everyone.  The hint scales with the level — the hotter the
@@ -1013,50 +1058,76 @@ void Daemon::handle_run(const std::shared_ptr<Connection>& conn,
 void Daemon::handle_attach(const std::shared_ptr<Connection>& conn,
                            const Command& cmd) {
   std::shared_ptr<RunTask> task;
+  std::string status;  ///< terminal status; "" while the run is live
+  std::uint64_t last_seq = 0;
+  std::vector<std::string> replay;
+  bool live = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (const auto it = active_.find(cmd.id); it != active_.end())
+    const auto it = active_.find(cmd.id);
+    if (it != active_.end()) {
       task = it->second;
-    for (const auto& t : recent_)
-      if (!task && t->id == cmd.id) task = t;
+    } else {
+      for (const auto& t : recent_)
+        if (t->id == cmd.id) {
+          task = t;
+          break;
+        }
+    }
     if (task) {
       const std::lock_guard<std::mutex> sub_lock(task->sub_mu);
-      if (task->terminal_status.empty()) {
-        // Live run: ATTACHED + ring replay + subscription are queued
-        // under sub_mu so no concurrent checkpoint can interleave or be
-        // missed between the replay and the live stream.
+      status = task->terminal_status;
+      last_seq = task->next_seq - 1;
+      for (const auto& [seq, line] : task->ring)
+        if (seq >= cmd.from) replay.push_back(line);
+      if (status.empty()) {
+        // Live run: ATTACHED + ring replay + subscription happen under
+        // sub_mu so no concurrent checkpoint can interleave or be missed
+        // between the replay and the live stream.
+        live = true;
         m_.attach_total.inc();
         conn->send_line(msg_attached(
             cmd.id,
             task->started.load(std::memory_order_acquire) ? "running"
                                                           : "queued",
-            task->next_seq - 1));
-        for (const auto& [seq, line] : task->ring)
-          if (seq >= cmd.from) conn->send_line(line);
+            last_seq));
+        for (const std::string& line : replay) conn->send_line(line);
         task->subscribers.push_back({conn, cmd.from});
-        return;
       }
     }
   }
-  // Terminal run: its ring and status are immutable now (subscribers were
-  // cleared at DONE), so the whole outcome replays from here — for ok
-  // runs the payload comes from the caches.
-  const bool ok = task && task->terminal_status == "ok";
-  const std::optional<std::string> payload =
-      ok ? cached_payload(task->canonical) : std::nullopt;
-  if (!task || (ok && !payload)) {
-    // Unknown, or evicted everywhere: the run is forgotten, so the client
-    // falls back to resubmitting (better than an ok with no bytes).
+  if (!task) {
     conn->send_line(
         msg_error("reason=unknown_run id=" + std::to_string(cmd.id)));
     return;
   }
-  m_.attach_total.inc();
-  conn->send_line(msg_attached(cmd.id, "done", task->next_seq - 1));
-  for (const auto& [seq, line] : task->ring)
-    if (seq >= cmd.from) conn->send_line(line);
+  if (live) return;
+  // Terminal run: its ring and status are immutable now (subscribers were
+  // cleared at DONE), so the whole outcome replays from here — for ok
+  // runs the payload comes from the caches.
+  std::optional<std::string> payload;
+  if (status == "ok") {
+    payload = cache_.get(task->canonical);
+    if (!payload) {
+      payload = disk_cache_.get(task->canonical);
+      if (payload) cache_.put(task->canonical, *payload);
+    }
+    if (!payload) {
+      // Evicted everywhere: pretend the run is forgotten so the client
+      // falls back to resubmitting (better than an ok with no bytes).
+      conn->send_line(
+          msg_error("reason=unknown_run id=" + std::to_string(cmd.id)));
+      return;
+    }
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    m_.attach_total.inc();
+  }
+  conn->send_line(msg_attached(cmd.id, "done", last_seq));
+  for (const std::string& line : replay) conn->send_line(line);
   if (payload) send_payload(*conn, cmd.id, /*cached=*/true, *payload);
-  conn->send_line(msg_done(cmd.id, task->terminal_status));
+  conn->send_line(msg_done(cmd.id, status));
 }
 
 void Daemon::executor_loop() {
@@ -1132,16 +1203,6 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
     }
     wake();
   };
-  // Extends the spec's crash streak (caller holds mu_); returns its length.
-  const auto extend_streak_locked = [&](const char* failures) {
-    CrashStreak& s = crash_streaks_[task->canonical];
-    s.touched_ns = monotonic_now_ns();
-    if (++s.count == options_.quarantine_threshold)
-      std::cerr << "rdcn_serve: quarantining spec after " << s.count
-                << " consecutive " << failures << ": " << task->canonical
-                << "\n";
-    return s.count;
-  };
   // Ends the run with DONE status stalled/deadline_exceeded/cancelled,
   // whichever the token firing meant.  A stall (the progress tick
   // fired) also extends the spec's crash streak: a spec that reliably
@@ -1155,7 +1216,13 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
       const std::lock_guard<std::mutex> lock(mu_);
       if (stalled) {
         m_.runs_stalled.inc();
-        streak = extend_streak_locked("failures");
+        CrashStreak& s = crash_streaks_[task->canonical];
+        streak = ++s.count;
+        s.touched_ns = monotonic_now_ns();
+        if (options_.quarantine_threshold > 0 &&
+            streak == options_.quarantine_threshold)
+          std::cerr << "rdcn_serve: quarantining spec after " << streak
+                    << " consecutive failures: " << task->canonical << "\n";
       } else if (deadline) {
         m_.runs_deadline.inc();
       } else {
@@ -1180,7 +1247,13 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
       const std::lock_guard<std::mutex> lock(mu_);
       m_.crashes.inc();
       m_.runs_error.inc();
-      streak = extend_streak_locked("crashes");
+      CrashStreak& s = crash_streaks_[task->canonical];
+      streak = ++s.count;
+      s.touched_ns = monotonic_now_ns();
+      if (options_.quarantine_threshold > 0 &&
+          streak == options_.quarantine_threshold)
+        std::cerr << "rdcn_serve: quarantining spec after " << streak
+                  << " consecutive crashes: " << task->canonical << "\n";
     }
     journal_.quarantine_streak(task->canonical, streak);
     m_.run_error.observe_ns(monotonic_now_ns() - start_ns);
@@ -1207,8 +1280,12 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
     // The pre-crash run may have finished with its terminal record lost
     // (the caches commit before the journal's fsync'd done record);
     // serve the stored bytes instead of recomputing.
-    if (const std::optional<std::string> payload =
-            cached_payload(task->canonical)) {
+    std::optional<std::string> payload = cache_.get(task->canonical);
+    if (!payload) {
+      payload = disk_cache_.get(task->canonical);
+      if (payload) cache_.put(task->canonical, *payload);
+    }
+    if (payload) {
       finish_ok(*payload, /*cached=*/true);
       return;
     }
@@ -1282,22 +1359,14 @@ void Daemon::execute(const std::shared_ptr<RunTask>& task) {
   }
 }
 
-std::optional<std::string> Daemon::cached_payload(
-    const std::string& canonical) {
-  std::optional<std::string> payload = cache_.get(canonical);
-  if (!payload) {
-    payload = disk_cache_.get(canonical);
-    if (payload) cache_.put(canonical, *payload);
-  }
-  return payload;
-}
-
 void Daemon::send_payload(Connection& conn, std::uint64_t id, bool cached,
                           const std::string& payload) {
+  std::size_t lines = 0;
+  for (const char c : payload)
+    if (c == '\n') ++lines;
   // Header and payload travel as one write unit so no other run's lines
   // can land between them; the payload is already newline-framed CSV and
   // ships verbatim, bit-identical to a direct rdcn_sim --csv run.
-  const auto lines = std::count(payload.begin(), payload.end(), '\n');
   conn.send_raw(msg_result(id, cached, lines) + "\n" + payload);
 }
 

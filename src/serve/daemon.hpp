@@ -69,9 +69,10 @@
 //     cancelled at its next checkpoint to free the executor;
 //   * SIGTERM/SIGINT (when handle_signals — self-pipe, async-signal-safe)
 //     and SHUTDOWN drain=1 begin a graceful drain: admissions refuse with
-//     ERROR reason=draining, in-flight runs get drain_ms to finish, then
-//     stragglers are cancelled cooperatively, the journal and caches are
-//     flushed, and wait_for_shutdown_command() returns.
+//     ERROR reason=draining, in-flight runs get drain_ms to finish and
+//     their output to reach the clients' sockets, then stragglers are
+//     cancelled cooperatively, the journal and caches are flushed, and
+//     wait_for_shutdown_command() returns.
 //
 // Failure containment:
 //   * invalid specs — parse failures, unknown components, bad parameters —
@@ -106,7 +107,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -254,9 +254,10 @@ class Daemon {
   void arm(Timer::Kind kind, std::chrono::milliseconds in,
            std::weak_ptr<RunTask> task = {});
   void run_due_timers();
-  /// Wakes the loop (executors, stop()); coalesced to one pipe byte.
+  /// Wakes the loop (executors, stop()) with one pipe byte.
   void wake();
-  void handle_command(const std::shared_ptr<Connection>& conn,
+  /// Returns false when the connection should close (SHUTDOWN).
+  bool handle_command(const std::shared_ptr<Connection>& conn,
                       const std::string& line);
   void handle_run(const std::shared_ptr<Connection>& conn,
                   const Command& cmd);
@@ -268,9 +269,6 @@ class Daemon {
   void executor_loop();
   void execute(const std::shared_ptr<RunTask>& task);
   void write_metrics_dump() const;
-  /// The stored payload for a canonical spec: the in-memory LRU first,
-  /// then the persistent store (a hit there repopulates the LRU).
-  std::optional<std::string> cached_payload(const std::string& canonical);
   void send_payload(Connection& conn, std::uint64_t id, bool cached,
                     const std::string& payload);
 
@@ -371,7 +369,8 @@ class Daemon {
   /// a deadline whose run already finished expires harmlessly (weak_ptr).
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   /// Admissions refuse with ERROR reason=draining while in-flight runs
-  /// finish; drained_ once shutdown_requested_ has been raised for it.
+  /// finish and their output is written; drained_ once
+  /// shutdown_requested_ has been raised for it.
   bool draining_ = false;
   bool drained_ = false;
   std::uint64_t drain_begin_ns_ = 0;
@@ -381,7 +380,6 @@ class Daemon {
 
   /// Self-pipe: the signal handler and wake() write, the loop reads.
   int wake_pipe_[2] = {-1, -1};
-  std::atomic<bool> wake_pending_{false};
   struct sigaction old_term_ {};
   struct sigaction old_int_ {};
   std::thread loop_thread_;

@@ -29,6 +29,18 @@ constexpr const char* kLogName = "wal.rdj";
 /// corrupt length field, not a real record — reject before allocating.
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 20;
 
+void append_u32(std::string& out, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) out.push_back(char((value >> (8 * i)) & 0xff));
+}
+
+std::uint32_t read_u32(const std::string& bytes, std::size_t pos) {
+  std::uint32_t value = 0;
+  for (int i = 3; i >= 0; --i)
+    value = (value << 8) |
+            static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]);
+  return value;
+}
+
 std::string frame(const std::string& payload) {
   std::string out;
   out.reserve(8 + payload.size());

@@ -10,10 +10,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <thread>
 
+#include "common/clock.hpp"
 #include "common/fault.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/client.hpp"
@@ -295,6 +299,64 @@ TEST_F(AttachTest, ShutdownDrainFinishesInFlightAndRefusesNewRuns) {
   runner.disconnect();
   late.disconnect();
   daemon.stop();
+}
+
+TEST_F(AttachTest, DrainEndsOnlyOnceTheDrainedRunsOutputIsWritten) {
+  // One CHECKPOINT line per 16 requests and a CSV payload of ~1.5 MB, far
+  // past a socket buffer: when the run ends, most of its output is still
+  // queued in the daemon.
+  const std::string spec =
+      "workload=zipf:skew=1.1;algorithms=bma;b=4;racks=16;requests=1600000;"
+      "trials=1;checkpoints=100000;seed=3";
+  ServeOptions options = small_options("drain_unread");
+  options.drain_ms = 30'000;
+  Daemon daemon(std::move(options));
+  daemon.start();
+
+  Client runner;
+  runner.connect(daemon.options().socket_path);
+  runner.set_read_timeout_seconds(30);
+  const Client::Submission sub = runner.submit(spec);
+  ASSERT_TRUE(sub.accepted) << sub.error;
+  Client admin;
+  admin.connect(daemon.options().socket_path);
+  admin.shutdown_daemon(/*drain=*/true);
+
+  // The owner does what rdcn_serve's main() does: stop() as soon as the
+  // drain reports done.
+  std::atomic<bool> drained{false};
+  std::thread owner([&] {
+    daemon.wait_for_shutdown_command();
+    drained = true;
+    daemon.stop();
+  });
+
+  // The run has ended and queued RESULT and DONE, but the runner has read
+  // nothing yet, so the drain is not done.  (A daemon whose executor
+  // blocks on the unread socket never ends the run here; the wait stays
+  // well inside the drain budget.)
+  const auto give_up = monotonic_now() + std::chrono::seconds(5);
+  while (daemon.stats_report().completed == 0 && monotonic_now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(drained.load());
+
+  // Reading lets the daemon write the rest.  The drain ends once the last
+  // byte is in the socket, stop() runs while the runner still reads the
+  // tail, and every byte of the drained run arrives.
+  Client::RunOutput out;
+  try {
+    out = runner.collect(sub.id);
+  } catch (const std::exception& e) {
+    out.error = e.what();
+  }
+  owner.join();
+  EXPECT_TRUE(drained.load());
+  EXPECT_EQ(out.status, "ok") << out.error;
+  EXPECT_EQ(out.checkpoints, 100'000u);
+  const std::string expected = direct_csv(spec);
+  EXPECT_TRUE(out.csv == expected)
+      << out.csv.size() << " of " << expected.size() << " CSV bytes";
 }
 
 }  // namespace
